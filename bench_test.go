@@ -223,6 +223,24 @@ func TestNormalExecAllocBudget(t *testing.T) {
 			t.Fatalf("%s: cached indexed update costs %.1f allocs/op, budget %d", label, avg, updateBudget)
 		}
 		t.Logf("%s: cached indexed update: %.1f allocs/op (budget %d)", label, avg, updateBudget)
+
+		// A cached INSERT executes its parameterized augmentation: the
+		// version columns are parameters, so neither the statement nor its
+		// plan is rebuilt per execution. The budget is the allocs/op the
+		// literal-per-execution insert path measured before it was removed.
+		next := int64(100000)
+		avg = testing.AllocsPerRun(200, func() {
+			next++
+			if _, _, err := db.Exec("INSERT INTO posts (id, owner, body) VALUES (?, ?, ?)",
+				sqldb.Int(next), sqldb.Text("u0"), sqldb.Text("inserted")); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const insertBudget = 82
+		if avg > insertBudget {
+			t.Fatalf("%s: cached insert costs %.1f allocs/op, budget %d", label, avg, insertBudget)
+		}
+		t.Logf("%s: cached insert: %.1f allocs/op (budget %d)", label, avg, insertBudget)
 	}
 	measure(t, "plain")
 	// The instrumented fast path (docs/observability.md) must fit the

@@ -239,6 +239,10 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 
 	matcher := newQueryMatcher(orig.Queries)
 	lastTime := origAct.Time
+	// dbTime is this run's own query time: the session-wide tDB also
+	// accumulates other workers' queries, so App time is this run's
+	// elapsed time minus dbTime, never a difference of shared counters.
+	var dbTime time.Duration
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		cs, err := rs.w.DB.Prepare(sql)
 		if err != nil {
@@ -263,7 +267,9 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 		}
 		t0 := time.Now()
 		res, newRec, err := rs.w.DB.ReExecPrepared(cs, params, t, origRec)
-		rs.tDB.Add(int64(time.Since(t0)))
+		d := time.Since(t0)
+		dbTime += d
+		rs.tDB.Add(int64(d))
 		if newRec != nil {
 			lastTime = newRec.Time
 			if newRec.IsWrite() {
@@ -275,9 +281,8 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 	}
 
 	t0 := time.Now()
-	dbBefore := rs.tDB.Load()
 	newRec, err := rs.w.Runtime.Run(file, req, qf, orig)
-	rs.tApp.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore))
+	rs.tApp.Add(int64(time.Since(t0) - dbTime))
 	if err != nil {
 		return nil, err
 	}
@@ -455,20 +460,22 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 		return httpd.NotFound("no route for " + req.Path)
 	}
 	lastTime := rs.w.Clock.Now()
+	var dbTime time.Duration // this run's own query time (see executeRun)
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		lastTime++
 		t0 := time.Now()
 		res, rec, err := rs.w.DB.ReExec(sql, params, lastTime, nil)
-		rs.tDB.Add(int64(time.Since(t0)))
+		d := time.Since(t0)
+		dbTime += d
+		rs.tDB.Add(int64(d))
 		if rec != nil && rec.IsWrite() {
 			rs.addDirt(rec.WritePartitions, rec.Time)
 		}
 		return res, rec, err
 	}
 	t0 := time.Now()
-	dbBefore := rs.tDB.Load()
 	rec, err := rs.w.Runtime.Run(file, req, qf, nil)
-	rs.tApp.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore))
+	rs.tApp.Add(int64(time.Since(t0) - dbTime))
 	if err != nil {
 		return httpd.ServerError(err.Error())
 	}
@@ -547,11 +554,19 @@ func (rs *session) processVisit(it *workItem) error {
 		}
 	}
 
+	// Nested serve time is attributed to DB/App by the runs it executes;
+	// the browser gets the rest. The serve time is accumulated per call,
+	// not differenced from the session-wide counters other workers share.
+	var served time.Duration
+	transport := func(req *httpd.Request) *httpd.Response {
+		t0 := time.Now()
+		resp := rs.repairTransport(req)
+		served += time.Since(t0)
+		return resp
+	}
 	t0 := time.Now()
-	dbBefore, appBefore := rs.tDB.Load(), rs.tApp.Load()
-	out := browser.ReplayVisit(vlog, mainResp, origBody, jar, rs.repairTransport, rs.cfg)
-	// Attribute nested serve time to DB/App, the rest to the browser.
-	rs.tBrowser.Add(int64(time.Since(t0)) - (rs.tDB.Load() - dbBefore) - (rs.tApp.Load() - appBefore))
+	out := browser.ReplayVisit(vlog, mainResp, origBody, jar, transport, rs.cfg)
+	rs.tBrowser.Add(int64(time.Since(t0) - served))
 
 	rs.tracef("replayed visit %s/%d url=%s navs=%d conflicts=%d unmatched=%d", it.client, it.visit, vlog.URL, len(out.Navigations), len(out.Conflicts), len(out.UnmatchedOriginals))
 	for _, c := range out.Conflicts {

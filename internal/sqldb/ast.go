@@ -668,11 +668,6 @@ func cloneExprs(in []Expr) []Expr {
 // Col returns a column reference expression.
 func Col(name string) *ColumnRef { return &ColumnRef{Name: name} }
 
-// Eq returns the expression `col = value` for literal v.
-func Eq(col string, v Value) Expr {
-	return &BinaryExpr{Op: OpEq, Left: Col(col), Right: Lit(v)}
-}
-
 // And conjoins expressions, dropping nils. It returns nil when all inputs
 // are nil.
 func And(exprs ...Expr) Expr {

@@ -18,7 +18,7 @@ type Result struct {
 	Affected int
 
 	// arena, when non-nil, owns the storage behind Rows; set only for
-	// results of the *Owned entry points and reclaimed by PutResult
+	// results of ExecCachedOwned and reclaimed by PutResult
 	// (resultpool.go).
 	arena *resultArena
 }
@@ -91,24 +91,9 @@ func (db *DB) Exec(src string, params ...Value) (*Result, error) {
 	return db.ExecCached(cs, params)
 }
 
-// ExecStmt executes a parsed statement. The statement is not mutated.
-func (db *DB) ExecStmt(stmt Statement, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		return db.execStmtLocked(stmt, params)
-	}
-	start := time.Now()
-	db.mu.Lock()
-	db.lastShape = ShapeOther
-	res, err := db.execStmtLocked(stmt, params)
-	shape := db.lastShape
-	db.mu.Unlock()
-	observeExec(start, shape, nil, stmt)
-	return res, err
-}
-
-func (db *DB) execStmtLocked(stmt Statement, params []Value) (*Result, error) {
+// execStmtLocked executes a DDL statement; DML runs through compiled
+// plans in execCachedLocked.
+func (db *DB) execStmtLocked(stmt Statement) (*Result, error) {
 	switch s := stmt.(type) {
 	case *CreateTable:
 		return db.execCreateTable(s)
@@ -118,14 +103,6 @@ func (db *DB) execStmtLocked(stmt Statement, params []Value) (*Result, error) {
 		return db.execAlterAdd(s)
 	case *DropTable:
 		return db.execDropTable(s)
-	case *Insert:
-		return db.execInsert(s, params)
-	case *Select:
-		return db.execSelect(s, params)
-	case *Update:
-		return db.execUpdate(s, params)
-	case *Delete:
-		return db.execDelete(s, params)
 	default:
 		return nil, fmt.Errorf("sql: unsupported statement %T", stmt)
 	}
@@ -134,8 +111,10 @@ func (db *DB) execStmtLocked(stmt Statement, params []Value) (*Result, error) {
 // ExecCached executes a cached statement, reusing (or building) its
 // compiled plan: column ordinals, the indexable-equality decision, and
 // the compiled WHERE/SET/projection evaluators survive across
-// executions and are invalidated by the DDL epoch. Results are
-// identical to ExecStmt on the same statement.
+// executions and are invalidated by the DDL epoch. With its pooled twin
+// ExecCachedOwned it is the engine's only execution entry point: Exec
+// resolves source text to a handle first, and layers that build
+// statements wrap them in NewCachedStmt.
 func (db *DB) ExecCached(cs *CachedStmt, params []Value) (*Result, error) {
 	if !timedExec() {
 		db.mu.Lock()
@@ -148,7 +127,7 @@ func (db *DB) ExecCached(cs *CachedStmt, params []Value) (*Result, error) {
 	res, err := db.execCachedLocked(cs, params)
 	shape := db.lastShape
 	db.mu.Unlock()
-	observeExec(start, shape, cs, nil)
+	observeExec(start, shape, cs)
 	return res, err
 }
 
@@ -182,7 +161,7 @@ func (db *DB) execCachedLocked(cs *CachedStmt, params []Value) (*Result, error) 
 		}
 		return db.runInsert(p.ins.table, s, p.ins, params)
 	default:
-		return db.execStmtLocked(cs.Stmt, params)
+		return db.execStmtLocked(cs.Stmt)
 	}
 }
 
@@ -279,14 +258,6 @@ func (db *DB) execDropTable(s *DropTable) (*Result, error) {
 	delete(db.tables, s.Table)
 	db.bumpEpoch()
 	return &Result{}, nil
-}
-
-func (db *DB) execInsert(s *Insert, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runInsert(t, s, db.planInsert(t, s), params)
 }
 
 func (db *DB) runInsert(t *Table, s *Insert, p *insertPlan, params []Value) (*Result, error) {
@@ -689,17 +660,6 @@ func coerceToColumn(v Value, kind Kind) (Value, bool) {
 	return v, true
 }
 
-func (db *DB) execSelect(s *Select, params []Value) (*Result, error) {
-	if s.Table == "" {
-		return db.execSelectNoTable(s, params)
-	}
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runSelect(t, s, db.planSelect(t, s), params)
-}
-
 func (db *DB) runSelect(t *Table, s *Select, p *selectPlan, params []Value) (*Result, error) {
 	matched, usedIndex, inOrder, err := t.matchSlots(p.scan, p.orderIdx, p.where, params)
 	if err != nil {
@@ -1024,14 +984,6 @@ func (t *Table) rowCtx(slot int, params []Value) *evalCtx {
 	}
 }
 
-func (db *DB) execUpdate(s *Update, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runUpdate(t, s, db.planUpdate(t, s), params)
-}
-
 func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Result, error) {
 	if p.setErr != nil {
 		return nil, p.setErr
@@ -1102,14 +1054,6 @@ func (db *DB) runUpdate(t *Table, s *Update, p *updatePlan, params []Value) (*Re
 		}
 	}
 	return res, nil
-}
-
-func (db *DB) execDelete(s *Delete, params []Value) (*Result, error) {
-	t, ok := db.tables[s.Table]
-	if !ok {
-		return nil, fmt.Errorf("sql: no such table %s", s.Table)
-	}
-	return db.runDelete(t, s, db.planDelete(t, s), params)
 }
 
 func (db *DB) runDelete(t *Table, s *Delete, p *deletePlan, params []Value) (*Result, error) {

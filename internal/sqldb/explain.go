@@ -32,6 +32,8 @@ func (db *DB) Explain(src string) (string, error) {
 func (db *DB) ExplainCached(cs *CachedStmt) (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	// Explaining executes nothing: the plan counters count executions only.
+	defer func(c execCounters) { db.counters = c }(db.counters)
 	switch s := cs.Stmt.(type) {
 	case *Select:
 		if s.Table == "" {

@@ -12,7 +12,7 @@ import (
 // scan actually took — and records its latency into one fixed-bucket
 // histogram per shape. The shape is recorded as a plain field store in
 // the run* executors (always on, sub-nanosecond); the clock reads and
-// histogram writes happen only at the four exported entry points and
+// histogram writes happen only at the two exported entry points and
 // only when obs.Enabled() or a slow-query threshold arms them, so the
 // uninstrumented fast path pays a single atomic load per exec.
 
@@ -117,9 +117,8 @@ func timedExec() bool {
 }
 
 // observeExec records one timed execution: histogram by shape, plus the
-// slow-query hook. The statement text is only materialized on the slow
-// path (stmt.String() allocates; cs.canonical does not).
-func observeExec(start time.Time, shape ExecShape, cs *CachedStmt, stmt Statement) {
+// slow-query hook, which reads the handle's precomputed canonical text.
+func observeExec(start time.Time, shape ExecShape, cs *CachedStmt) {
 	d := time.Since(start)
 	execHists[shape].Observe(d)
 	ns := slowQueryNs.Load()
@@ -130,12 +129,5 @@ func observeExec(start time.Time, shape ExecShape, cs *CachedStmt, stmt Statemen
 	if fp == nil {
 		return
 	}
-	text := ""
-	switch {
-	case cs != nil:
-		text = cs.canonical
-	case stmt != nil:
-		text = stmt.String()
-	}
-	(*fp)(text, shape, d)
+	(*fp)(cs.canonical, shape, d)
 }

@@ -14,12 +14,11 @@ import "fmt"
 // This file compiles an expression once per plan into a tree of
 // closures with column ordinals resolved up front: the per-row path
 // performs no allocation, no map lookups, and no AST dispatch. Plans are
-// built either per statement execution (for the rewritten statements the
-// time-travel layer constructs fresh each call) or once per cached
-// statement (stmtcache.go), in which case they are invalidated by the
-// database's DDL epoch: any CREATE/ALTER/DROP/CREATE INDEX or constraint
-// change bumps the epoch and forces recompilation, so a stale plan can
-// never read renumbered ordinals or a dropped index.
+// built once per cached statement (stmtcache.go) — every DML execution
+// runs through one — and invalidated by the database's DDL epoch: any
+// CREATE/ALTER/DROP/CREATE INDEX or constraint change bumps the epoch
+// and forces recompilation, so a stale plan can never read renumbered
+// ordinals or a dropped index.
 //
 // Compilation is deliberately lazy about errors: an unknown column or an
 // out-of-range parameter compiles into a closure that fails when (and

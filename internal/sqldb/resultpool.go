@@ -11,7 +11,7 @@ import (
 // read of an UPDATE is consumed and dropped within the same call — so
 // their storage can be recycled instead of re-allocated per execution.
 //
-// Results built through the *Owned entry points cut every row from one
+// Results built through ExecCachedOwned cut every row from one
 // arena; the caller hands the storage back with PutResult when the
 // result (and every row slice obtained from it) is no longer
 // referenced. Results from the ordinary entry points escape to the
@@ -132,28 +132,6 @@ func (db *DB) ExecCachedOwned(cs *CachedStmt, params []Value) (*Result, error) {
 	shape := db.lastShape
 	db.ownedExec = false
 	db.mu.Unlock()
-	observeExec(start, shape, cs, nil)
-	return res, err
-}
-
-// ExecStmtOwned is ExecStmt returning an owned result; see
-// ExecCachedOwned.
-func (db *DB) ExecStmtOwned(stmt Statement, params []Value) (*Result, error) {
-	if !timedExec() {
-		db.mu.Lock()
-		defer db.mu.Unlock()
-		db.ownedExec = true
-		defer func() { db.ownedExec = false }()
-		return db.execStmtLocked(stmt, params)
-	}
-	start := time.Now()
-	db.mu.Lock()
-	db.ownedExec = true
-	db.lastShape = ShapeOther
-	res, err := db.execStmtLocked(stmt, params)
-	shape := db.lastShape
-	db.ownedExec = false
-	db.mu.Unlock()
-	observeExec(start, shape, nil, stmt)
+	observeExec(start, shape, cs)
 	return res, err
 }

@@ -26,7 +26,7 @@ type DB struct {
 	// (stats.go). Guarded by mu: every exec path increments under it.
 	counters execCounters
 	// ownedExec, while true, makes runSelect cut result rows from pooled
-	// arena storage (resultpool.go). Set only by the *Owned entry points,
+	// arena storage (resultpool.go). Set only by ExecCachedOwned,
 	// under mu for the span of one execution.
 	ownedExec bool
 	// lastShape records the plan shape of the execution in flight so the

@@ -21,8 +21,12 @@ type ExecStats struct {
 	// on the Exec entry point.
 	StmtCacheHits   uint64
 	StmtCacheMisses uint64
-	// PlanHits / PlanMisses count compiled-plan reuses vs (re)compiles
-	// across all cached-statement executions.
+	// PlanHits / PlanMisses count compiled-plan reuses vs (re)compiles.
+	// Every DML execution (INSERT, UPDATE, DELETE, and SELECT with a FROM
+	// table) counts exactly once, so their sum equals the number of such
+	// executions — the same executions warp_sqldb_exec_seconds observes
+	// when obs is enabled. DDL and table-less SELECTs have no plan and
+	// count in neither.
 	PlanHits   uint64
 	PlanMisses uint64
 	// IndexScans / FullScans count row scans narrowed by an index probe

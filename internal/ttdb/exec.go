@@ -17,22 +17,16 @@ func (db *DB) Exec(src string, params ...sqldb.Value) (*sqldb.Result, *Record, e
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.execStmt(cs.Stmt, cs, params)
+	return db.execStmt(cs, params)
 }
 
-// ExecStmt executes a parsed statement under normal execution. Statements
-// on disjoint partition scopes — different tables, or disjoint lock-column
-// keys of one table — run in parallel; statements on overlapping scopes
-// serialize, with the timestamp assigned inside the scope so version
-// intervals of any one partition never interleave.
-func (db *DB) ExecStmt(stmt sqldb.Statement, params []sqldb.Value) (*sqldb.Result, *Record, error) {
-	return db.execStmt(stmt, nil, params)
-}
-
-// execStmt is the shared normal-execution path. cs is the statement's
-// cached handle (canonical SQL + rewrite cache), or nil for statements
-// that never passed through the cache.
-func (db *DB) execStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value) (*sqldb.Result, *Record, error) {
+// execStmt is the normal-execution path. Statements on disjoint partition
+// scopes — different tables, or disjoint lock-column keys of one table —
+// run in parallel; statements on overlapping scopes serialize, with the
+// timestamp assigned inside the scope so version intervals of any one
+// partition never interleave.
+func (db *DB) execStmt(cs *sqldb.CachedStmt, params []sqldb.Value) (*sqldb.Result, *Record, error) {
+	stmt := cs.Stmt
 	if gate := db.writeGate.Load(); gate != nil {
 		if _, isRead := stmt.(*sqldb.Select); !isRead {
 			if err := (*gate)(); err != nil {
@@ -46,7 +40,7 @@ func (db *DB) execStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqld
 	}
 	defer unlock()
 	t := db.clock.Tick()
-	res, rec, err := db.execAt(stmt, cs, params, t, db.currentGen.Load(), nil, m, sc)
+	res, rec, err := db.execAt(cs, params, t, db.currentGen.Load(), nil, m, sc)
 	// Emit the committed mutation while the statement's scope is still
 	// held, so the observer sees per-partition events in execution order.
 	// Reads are not emitted (they change nothing), and neither are failed
@@ -221,22 +215,15 @@ func (db *DB) markDirtyStmt(m *tableMeta, stmt sqldb.Statement, params []sqldb.V
 // execAt dispatches a statement at an explicit time and generation. The
 // caller holds the locks lockFor would acquire; m is the target table's
 // meta for DML statements and sc the scope held. cs is the statement's
-// cached handle: its canonical SQL becomes Record.SQL without a
-// re-stringify, and its rewrite cache serves the select fast path; nil
-// falls back to rendering and cloning per execution. reuse carries the
-// original record during repair re-execution, or nil. Every non-read
-// case marks its statement's shards dirty for the incremental
-// checkpointer — before executing, so even a write that fails partway
-// can only over-mark, never leave a mutated shard clean.
-func (db *DB) execAt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, sc lockScope) (*sqldb.Result, *Record, error) {
-	var canonical string
-	if cs != nil {
-		canonical = cs.Canonical()
-	} else {
-		canonical = stmt.String()
-	}
-	rec := &Record{SQL: canonical, Params: params, Time: t, Gen: gen}
-	switch s := stmt.(type) {
+// cached handle: its canonical SQL becomes Record.SQL, and DML executes
+// through its cached rewrite (fastpath.go). reuse carries the original
+// record during repair re-execution, or nil. Every non-read case marks
+// its statement's shards dirty for the incremental checkpointer — before
+// executing, so even a write that fails partway can only over-mark,
+// never leave a mutated shard clean.
+func (db *DB) execAt(cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, reuse *Record, m *tableMeta, sc lockScope) (*sqldb.Result, *Record, error) {
+	rec := &Record{SQL: cs.Canonical(), Params: params, Time: t, Gen: gen}
+	switch s := cs.Stmt.(type) {
 	case *sqldb.CreateTable:
 		rec.Kind = KindDDL
 		rec.Table = s.Table
@@ -246,58 +233,56 @@ func (db *DB) execAt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.
 		}
 		rec.Result = &sqldb.Result{}
 		return rec.Result, rec, nil
-	case *sqldb.CreateIndex:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		res, err := db.raw.ExecStmt(s, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		rec.Result = res
-		return res, rec, nil
-	case *sqldb.AlterTableAdd:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		tm, err := db.meta(s.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := db.raw.ExecStmt(s, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		tm.userCols = append(tm.userCols, s.Column.Name)
-		rec.Result = res
-		return res, rec, nil
-	case *sqldb.DropTable:
-		rec.Kind = KindDDL
-		rec.Table = s.Table
-		db.markDirtyWhole(s.Table)
-		res, err := db.raw.ExecStmt(s, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		db.tablesMu.Lock()
-		delete(db.tables, s.Table)
-		db.tablesMu.Unlock()
-		rec.Result = res
-		return res, rec, nil
+	case *sqldb.CreateIndex, *sqldb.AlterTableAdd, *sqldb.DropTable:
+		return db.execDDL(cs, params, rec)
 	case *sqldb.Select:
 		return db.execSelect(s, cs, params, t, gen, rec, m)
 	case *sqldb.Insert:
 		db.markDirtyStmt(m, s, params)
-		return db.execInsert(s, params, t, gen, rec, reuse, m)
+		return db.execInsert(s, db.rewriteFor(m, cs), params, t, gen, rec, reuse, m)
 	case *sqldb.Update:
 		db.markDirtyStmt(m, s, params)
-		return db.execUpdate(s, cs, params, t, gen, rec, m)
+		return db.execUpdate(s, db.rewriteFor(m, cs), params, t, gen, rec, m)
 	case *sqldb.Delete:
 		db.markDirtyStmt(m, s, params)
-		return db.execDelete(s, cs, params, t, gen, rec, m)
+		return db.execDelete(s, db.rewriteFor(m, cs), params, t, gen, rec, m)
 	default:
-		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", stmt)
+		return nil, nil, fmt.Errorf("ttdb: unsupported statement %T", cs.Stmt)
 	}
+}
+
+// execDDL runs CREATE INDEX, ALTER TABLE ADD and DROP TABLE on the raw
+// engine as-is and keeps the table registry in step.
+func (db *DB) execDDL(cs *sqldb.CachedStmt, params []sqldb.Value, rec *Record) (*sqldb.Result, *Record, error) {
+	rec.Kind = KindDDL
+	var tm *tableMeta
+	switch s := cs.Stmt.(type) {
+	case *sqldb.CreateIndex:
+		rec.Table = s.Table
+	case *sqldb.AlterTableAdd:
+		rec.Table = s.Table
+		var err error
+		if tm, err = db.meta(s.Table); err != nil {
+			return nil, nil, err
+		}
+	case *sqldb.DropTable:
+		rec.Table = s.Table
+	}
+	db.markDirtyWhole(rec.Table)
+	res, err := db.raw.ExecCached(cs, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch s := cs.Stmt.(type) {
+	case *sqldb.AlterTableAdd:
+		tm.userCols = append(tm.userCols, s.Column.Name)
+	case *sqldb.DropTable:
+		db.tablesMu.Lock()
+		delete(db.tables, s.Table)
+		db.tablesMu.Unlock()
+	}
+	rec.Result = res
+	return res, rec, nil
 }
 
 // physicalColumns returns user columns plus WARP bookkeeping columns.
@@ -305,13 +290,8 @@ func (db *DB) physicalColumns(m *tableMeta) []string {
 	return append(append([]string{}, m.userCols...), m.metaColumns()...)
 }
 
-// selectPhysical reads full physical rows matching where, in scan order.
-func (db *DB) selectPhysical(m *tableMeta, where sqldb.Expr, params []sqldb.Value) (*sqldb.Result, error) {
-	return db.raw.ExecStmt(db.physicalSelect(m, where), params)
-}
-
-// physicalSelect builds the statement selectPhysical executes: full
-// physical rows matching where, in scan order.
+// physicalSelect builds a read of full physical rows matching where, in
+// scan order.
 func (db *DB) physicalSelect(m *tableMeta, where sqldb.Expr) *sqldb.Select {
 	cols := db.physicalColumns(m)
 	items := make([]sqldb.SelectItem, len(cols))
@@ -324,13 +304,7 @@ func (db *DB) physicalSelect(m *tableMeta, where sqldb.Expr) *sqldb.Select {
 func (db *DB) execSelect(s *sqldb.Select, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindRead
 	if s.Table == "" {
-		var res *sqldb.Result
-		var err error
-		if cs != nil {
-			res, err = db.raw.ExecCached(cs, params)
-		} else {
-			res, err = db.raw.ExecStmt(s, params)
-		}
+		res, err := db.raw.ExecCached(cs, params)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -338,24 +312,12 @@ func (db *DB) execSelect(s *sqldb.Select, cs *sqldb.CachedStmt, params []sqldb.V
 		return res, rec, nil
 	}
 	rec.Table = s.Table
-	// Fast path: a cached handle executes its cached parameterized
-	// augmentation — no clone, no re-derived WHERE, and the raw engine
-	// reuses the compiled plan across executions.
-	if cs != nil {
-		if a := db.augSelectFor(m, s, cs); a != nil && len(params) == a.nStatic {
-			res, err := db.raw.ExecCached(a.handle, extParams(params, a.nStatic, t, gen))
-			if err != nil {
-				return nil, nil, err
-			}
-			rec.ReadPartitions = m.readPartitions(s.Where, params)
-			rec.Result = res
-			return res, rec, nil
-		}
+	a := db.rewriteFor(m, cs)
+	ext, err := a.bind(params, t, gen, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	aug := s.Clone().(*sqldb.Select)
-	expandStars(m, aug)
-	aug.Where = sqldb.And(aug.Where, liveWhere(t, gen))
-	res, err := db.raw.ExecStmt(aug, params)
+	res, err := db.raw.ExecCached(a.read, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -380,33 +342,25 @@ func (db *DB) checkWritableColumns(m *tableMeta, cols []string, isInsert bool) e
 	return nil
 }
 
-func (db *DB) execInsert(s *sqldb.Insert, params []sqldb.Value, t, gen int64, rec *Record, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
+func (db *DB) execInsert(s *sqldb.Insert, a *rewrite, params []sqldb.Value, t, gen int64, rec *Record, reuse *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindInsert
 	rec.Table = s.Table
-	cols := s.Columns
-	if len(cols) == 0 {
-		cols = m.userCols
+	if a.err != nil {
+		return nil, nil, a.err
 	}
-	if err := db.checkWritableColumns(m, cols, true); err != nil {
-		return nil, nil, err
-	}
-
-	aug := s.Clone().(*sqldb.Insert)
-	aug.Columns = append(append([]string{}, cols...), m.metaColumns()...)
-	var reuseIDs []sqldb.Value
-	if reuse != nil {
-		reuseIDs = reuse.WriteRowIDs
-	}
-	for i := range aug.Rows {
-		if len(aug.Rows[i]) != len(cols) {
-			return nil, nil, fmt.Errorf("ttdb: table %s: %d values for %d columns", s.Table, len(aug.Rows[i]), len(cols))
+	var rowIDs []sqldb.Value
+	if m.synthetic {
+		// Reuse the originally assigned row IDs during repair so row
+		// identity is stable across re-execution. The allocator is shared
+		// by every partition of the table, so it is touched only under the
+		// bookkeeping latch.
+		var reuseIDs []sqldb.Value
+		if reuse != nil {
+			reuseIDs = reuse.WriteRowIDs
 		}
-		if m.synthetic {
-			// Reuse the originally assigned row IDs during repair so row
-			// identity is stable across re-execution. The allocator is
-			// shared by every partition of the table, so it is touched
-			// only under the bookkeeping latch.
-			m.mu.Lock()
+		rowIDs = make([]sqldb.Value, len(s.Rows))
+		m.mu.Lock()
+		for i := range rowIDs {
 			var rid int64
 			if i < len(reuseIDs) {
 				rid = reuseIDs[i].AsInt()
@@ -420,22 +374,22 @@ func (db *DB) execInsert(s *sqldb.Insert, params []sqldb.Value, t, gen int64, re
 				rid = m.nextRowID
 				m.nextRowID++
 			}
-			m.mu.Unlock()
-			aug.Rows[i] = append(aug.Rows[i], sqldb.Lit(sqldb.Int(rid)))
+			rowIDs[i] = sqldb.Int(rid)
 		}
-		aug.Rows[i] = append(aug.Rows[i],
-			sqldb.Lit(sqldb.Int(t)), sqldb.Lit(sqldb.Int(Infinity)),
-			sqldb.Lit(sqldb.Int(gen)), sqldb.Lit(sqldb.Int(Infinity)))
+		m.mu.Unlock()
+	}
+	ext, err := a.bind(params, t, gen, rowIDs)
+	if err != nil {
+		return nil, nil, err
 	}
 	nApp := len(s.Returning)
-	aug.Returning = returningWithMeta(m, s.Returning)
-	res, err := db.raw.ExecStmt(aug, params)
+	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
 			// A failed INSERT is still a recorded outcome: repair watches
 			// for success/failure changes (§6).
 			rec.ErrText = err.Error()
-			rec.ReadPartitions = db.insertPartitionsFromRows(m, cols, aug.Rows, params)
+			rec.ReadPartitions = db.insertPartitionsFromRows(m, a.cols, s.Rows, params)
 			return nil, rec, err
 		}
 		return nil, nil, err
@@ -515,25 +469,23 @@ func stripResult(res *sqldb.Result, appReturning []string, nApp int, affected in
 	return out
 }
 
-func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
+func (db *DB) execUpdate(s *sqldb.Update, a *rewrite, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindUpdate
 	rec.Table = s.Table
-	setCols := make([]string, len(s.Set))
-	for i, a := range s.Set {
-		setCols[i] = a.Column
-	}
-	if err := db.checkWritableColumns(m, setCols, false); err != nil {
-		return nil, nil, err
+	if a.err != nil {
+		return nil, nil, a.err
 	}
 	rec.ReadPartitions = m.readPartitions(s.Where, params)
-
-	runSel, runUpd := db.updatePhases(s, cs, params, t, gen, m)
+	ext, err := a.bind(params, t, gen, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	// Phase 1: capture the old versions of every matched row. The result
 	// is consumed within this call (partition recording copies values,
 	// phase 3 re-inserts them), so its pooled row storage is released on
 	// every exit path.
-	oldRows, err := runSel()
+	oldRows, err := db.raw.ExecCachedOwned(a.read, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -547,7 +499,7 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 
 	// Phase 2: update the live versions in place, bumping start_time.
 	nApp := len(s.Returning)
-	res, err := runUpd()
+	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		if sqldb.IsUniqueViolation(err) {
 			rec.ErrText = err.Error()
@@ -558,40 +510,11 @@ func (db *DB) execUpdate(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.V
 	db.fillWriteInfo(m, rec, res, nApp)
 
 	// Phase 3: re-insert the old versions as history, closed at t.
-	if err := db.insertHistorical(m, oldRows, t, -1, -1); err != nil {
+	if err := db.insertHistorical(m, oldRows, t); err != nil {
 		return nil, nil, err
 	}
 	rec.Result = stripResult(res, s.Returning, nApp, res.Affected)
 	return rec.Result, rec, nil
-}
-
-// updatePhases returns the executors of an UPDATE's first two phases:
-// the cached parameterized augmentation when the statement has a cached
-// handle and the caller's parameter count matches, and per-execution
-// literal-baked clones otherwise (the slow path preserves the engine's
-// parameter diagnostics).
-func (db *DB) updatePhases(s *sqldb.Update, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, m *tableMeta) (runSel, runUpd func() (*sqldb.Result, error)) {
-	if cs != nil {
-		if a := db.augUpdateFor(m, s, cs); len(params) == a.nStatic {
-			ext := extParams(params, a.nStatic, t, gen)
-			return func() (*sqldb.Result, error) { return db.raw.ExecCachedOwned(a.sel, ext) },
-				func() (*sqldb.Result, error) { return db.raw.ExecCached(a.upd, ext) }
-		}
-	}
-	var userWhere sqldb.Expr
-	if s.Where != nil {
-		userWhere = s.Where.CloneExpr()
-	}
-	live := sqldb.And(userWhere, liveWhere(t, gen))
-	runSel = func() (*sqldb.Result, error) { return db.raw.ExecStmtOwned(db.physicalSelect(m, live), params) }
-	runUpd = func() (*sqldb.Result, error) {
-		aug := s.Clone().(*sqldb.Update)
-		aug.Set = append(aug.Set, sqldb.Assignment{Column: ColStartTime, Expr: sqldb.Lit(sqldb.Int(t))})
-		aug.Where = live
-		aug.Returning = returningWithMeta(m, s.Returning)
-		return db.raw.ExecStmt(aug, params)
-	}
-	return runSel, runUpd
 }
 
 // capturePreImage records the overwritten value of a mergeable UPDATE:
@@ -641,66 +564,38 @@ func (db *DB) recordOldPartitions(m *tableMeta, rec *Record, oldRows *sqldb.Resu
 	rec.WritePartitions = set.Slice()
 }
 
-// insertHistorical re-inserts captured physical rows with end_time=t.
-// When overrideStartGen/overrideEndGen are >= 0 they replace the captured
-// generation columns (used by repair-side flows).
-func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64, overrideStartGen, overrideEndGen int64) error {
-	if len(oldRows.Rows) == 0 {
-		return nil
+// insertHistorical re-inserts captured physical rows, in capture order,
+// as history closed at t.
+func (db *DB) insertHistorical(m *tableMeta, oldRows *sqldb.Result, t int64) error {
+	ins := db.stmtsFor(m).insertRow
+	end := -1
+	for i, c := range oldRows.Columns {
+		if c == ColEndTime {
+			end = i
+		}
 	}
-	cols := oldRows.Columns
-	colOf := make(map[string]int, len(cols))
-	for i, c := range cols {
-		colOf[c] = i
-	}
-	ins := &sqldb.Insert{Table: m.name, Columns: cols}
+	vals := make([]sqldb.Value, len(oldRows.Columns))
 	for _, row := range oldRows.Rows {
-		vals := make([]sqldb.Expr, len(cols))
-		for i, v := range row {
-			vals[i] = sqldb.Lit(v)
+		copy(vals, row)
+		vals[end] = sqldb.Int(t)
+		if _, err := db.raw.ExecCached(ins, vals); err != nil {
+			return err
 		}
-		vals[colOf[ColEndTime]] = sqldb.Lit(sqldb.Int(t))
-		if overrideStartGen >= 0 {
-			vals[colOf[ColStartGen]] = sqldb.Lit(sqldb.Int(overrideStartGen))
-		}
-		if overrideEndGen >= 0 {
-			vals[colOf[ColEndGen]] = sqldb.Lit(sqldb.Int(overrideEndGen))
-		}
-		ins.Rows = append(ins.Rows, vals)
 	}
-	_, err := db.raw.ExecStmt(ins, nil)
-	return err
+	return nil
 }
 
-func (db *DB) execDelete(s *sqldb.Delete, cs *sqldb.CachedStmt, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
+func (db *DB) execDelete(s *sqldb.Delete, a *rewrite, params []sqldb.Value, t, gen int64, rec *Record, m *tableMeta) (*sqldb.Result, *Record, error) {
 	rec.Kind = KindDelete
 	rec.Table = s.Table
 	rec.ReadPartitions = m.readPartitions(s.Where, params)
-
+	ext, err := a.bind(params, t, gen, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	// Deleting is closing the version interval (§4.2): set end_time = t.
 	nApp := len(s.Returning)
-	var res *sqldb.Result
-	var err error
-	ran := false
-	if cs != nil {
-		if a := db.augDeleteFor(m, s, cs); len(params) == a.nStatic {
-			res, err = db.raw.ExecCached(a.upd, extParams(params, a.nStatic, t, gen))
-			ran = true
-		}
-	}
-	if !ran {
-		var userWhere sqldb.Expr
-		if s.Where != nil {
-			userWhere = s.Where.CloneExpr()
-		}
-		aug := &sqldb.Update{
-			Table:     s.Table,
-			Set:       []sqldb.Assignment{{Column: ColEndTime, Expr: sqldb.Lit(sqldb.Int(t))}},
-			Where:     sqldb.And(userWhere, liveWhere(t, gen)),
-			Returning: returningWithMeta(m, s.Returning),
-		}
-		res, err = db.raw.ExecStmt(aug, params)
-	}
+	res, err := db.raw.ExecCached(a.write, ext)
 	if err != nil {
 		return nil, nil, err
 	}

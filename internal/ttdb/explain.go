@@ -6,7 +6,7 @@ import (
 
 // Plan introspection through the rewriting layer. ttdb.Explain describes
 // the raw-engine access plan a statement actually executes with under
-// normal operation — after the liveWhere augmentation — so an operator
+// normal operation — after the visibility-predicate augmentation — so an operator
 // can see whether an application predicate still rides an index once
 // the four version-interval conjuncts are attached.
 
@@ -19,39 +19,38 @@ func (db *DB) Explain(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	var table string
 	switch s := cs.Stmt.(type) {
 	case *sqldb.Select:
-		if s.Table == "" {
-			return db.raw.ExplainCached(cs)
-		}
-		m, err := db.meta(s.Table)
-		if err != nil {
-			return "", err
-		}
-		return db.raw.ExplainCached(db.augSelectFor(m, s, cs).handle)
+		table = s.Table
 	case *sqldb.Update:
-		m, err := db.meta(s.Table)
+		table = s.Table
+	case *sqldb.Delete:
+		table = s.Table
+	}
+	if table == "" {
+		return db.raw.ExplainCached(cs)
+	}
+	m, err := db.meta(table)
+	if err != nil {
+		return "", err
+	}
+	a := db.rewriteFor(m, cs)
+	switch cs.Stmt.(type) {
+	case *sqldb.Select:
+		return db.raw.ExplainCached(a.read)
+	case *sqldb.Update:
+		sel, err := db.raw.ExplainCached(a.read)
 		if err != nil {
 			return "", err
 		}
-		a := db.augUpdateFor(m, s, cs)
-		sel, err := db.raw.ExplainCached(a.sel)
-		if err != nil {
-			return "", err
-		}
-		upd, err := db.raw.ExplainCached(a.upd)
+		upd, err := db.raw.ExplainCached(a.write)
 		if err != nil {
 			return "", err
 		}
 		return sel + "; " + upd, nil
-	case *sqldb.Delete:
-		m, err := db.meta(s.Table)
-		if err != nil {
-			return "", err
-		}
-		return db.raw.ExplainCached(db.augDeleteFor(m, s, cs).upd)
 	default:
-		return db.raw.ExplainCached(cs)
+		return db.raw.ExplainCached(a.write)
 	}
 }
 

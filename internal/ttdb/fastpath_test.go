@@ -2,9 +2,11 @@ package ttdb
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"warp/internal/obs"
 	"warp/internal/sqldb"
 	"warp/internal/vclock"
 )
@@ -164,7 +166,7 @@ func TestCachedExecAcrossGenerationSwitch(t *testing.T) {
 // augmentation per DDL epoch — repeated writes through the statement
 // cache keep hitting the same raw-engine handles, DDL rebuilds them (the
 // phase-1 capture column set depends on the table's columns), and the
-// cached path leaves the same state and history as the slow path would.
+// cached path leaves the expected versions behind.
 func TestCachedWriteAugmentation(t *testing.T) {
 	db := newDB(t)
 	seedPages(t, db)
@@ -175,12 +177,12 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, ok := cs.Aux().(*updateAug)
+	a1, ok := cs.Aux().(*rewrite)
 	if !ok {
-		t.Fatalf("update aux = %T, want *updateAug", cs.Aux())
+		t.Fatalf("update aux = %T, want *rewrite", cs.Aux())
 	}
 	mustExec(t, db, upd, sqldb.Text("b"), sqldb.Int(1))
-	if a2 := cs.Aux().(*updateAug); a2 != a1 {
+	if a2 := cs.Aux().(*rewrite); a2 != a1 {
 		t.Fatal("update augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ := mustExec(t, db, "SELECT content FROM pages WHERE page_id = 1")
@@ -201,7 +203,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	// column participates in the phase-1 capture.
 	mustExec(t, db, "ALTER TABLE pages ADD COLUMN views INTEGER")
 	mustExec(t, db, upd, sqldb.Text("c"), sqldb.Int(1))
-	if a3 := cs.Aux().(*updateAug); a3 == a1 {
+	if a3 := cs.Aux().(*rewrite); a3 == a1 {
 		t.Fatal("update augmentation survived a DDL epoch change")
 	}
 
@@ -211,12 +213,12 @@ func TestCachedWriteAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1, ok := dcs.Aux().(*deleteAug)
+	d1, ok := dcs.Aux().(*rewrite)
 	if !ok {
-		t.Fatalf("delete aux = %T, want *deleteAug", dcs.Aux())
+		t.Fatalf("delete aux = %T, want *rewrite", dcs.Aux())
 	}
 	mustExec(t, db, del, sqldb.Int(3))
-	if d2 := dcs.Aux().(*deleteAug); d2 != d1 {
+	if d2 := dcs.Aux().(*rewrite); d2 != d1 {
 		t.Fatal("delete augmentation rebuilt without a DDL epoch change")
 	}
 	res, _ = mustExec(t, db, "SELECT page_id FROM pages ORDER BY page_id")
@@ -236,7 +238,7 @@ func TestCachedWriteAugmentation(t *testing.T) {
 // TestExplainThroughAugmentation: the rewriting layer's Explain shows
 // the plans the augmented statements execute with — application
 // predicates keep riding the row-ID/partition indexes (equality, range,
-// and index-served ORDER BY) after the liveWhere conjuncts attach.
+// and index-served ORDER BY) after the visibility conjuncts attach.
 func TestExplainThroughAugmentation(t *testing.T) {
 	db := newDB(t)
 	seedPages(t, db)
@@ -312,4 +314,142 @@ func TestCachedExecRaceWithDDLAndGC(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestParamCountDiagnostic: every statement runs through its cached
+// rewrite, whose version parameters follow the application's. Too few
+// application parameters must fail with the engine's out-of-range error
+// and change nothing, instead of binding the time or generation in the
+// missing slots; extra parameters are ignored, as the engine ignores
+// them.
+func TestParamCountDiagnostic(t *testing.T) {
+	cases := []struct {
+		name, src string
+		params    []sqldb.Value
+	}{
+		{"select", "SELECT content FROM pages WHERE page_id = ? AND title = ?",
+			[]sqldb.Value{sqldb.Int(1), sqldb.Text("Main")}},
+		{"insert", "INSERT INTO pages (page_id, title, editor, content) VALUES (?, ?, ?, ?)",
+			[]sqldb.Value{sqldb.Int(9), sqldb.Text("New"), sqldb.Int(12), sqldb.Text("fresh")}},
+		{"update", "UPDATE pages SET content = ? WHERE page_id = ?",
+			[]sqldb.Value{sqldb.Text("edited"), sqldb.Int(2)}},
+		{"delete", "DELETE FROM pages WHERE page_id = ? AND editor = ?",
+			[]sqldb.Value{sqldb.Int(3), sqldb.Int(10)}},
+	}
+	for _, c := range cases {
+		for _, mode := range []string{"Exec", "ReExec"} {
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				// run executes the case on a fresh database: first every
+				// too-short parameter list, each of which must be refused
+				// without a trace, then params.
+				run := func(params []sqldb.Value) (*sqldb.Result, *Record, string) {
+					db := newDB(t)
+					seedPages(t, db)
+					exec := func(p []sqldb.Value) (*sqldb.Result, *Record, error) {
+						return db.Exec(c.src, p...)
+					}
+					if mode == "ReExec" {
+						if _, err := db.BeginRepair(); err != nil {
+							t.Fatal(err)
+						}
+						at := db.Clock().Now() + 1
+						exec = func(p []sqldb.Value) (*sqldb.Result, *Record, error) {
+							return db.ReExec(c.src, p, at, nil)
+						}
+					}
+					before := dump(t, db)
+					for n := 0; n < len(c.params); n++ {
+						_, _, err := exec(c.params[:n])
+						want := fmt.Sprintf("parameter %d out of range (%d supplied)", n+1, n)
+						if err == nil || !strings.Contains(err.Error(), want) {
+							t.Fatalf("%d of %d parameters: err = %v, want %q", n, len(c.params), err, want)
+						}
+					}
+					if got := dump(t, db); got != before {
+						t.Fatalf("refused statements changed state\n--- before ---\n%s--- after ---\n%s", before, got)
+					}
+					res, rec, err := exec(params)
+					if err != nil {
+						t.Fatalf("exec with %d parameters: %v", len(params), err)
+					}
+					return res, rec, dump(t, db)
+				}
+				res, rec, state := run(c.params)
+				extra := append(append([]sqldb.Value{}, c.params...), sqldb.Text("ignored"))
+				xres, xrec, xstate := run(extra)
+				if res.Fingerprint() != xres.Fingerprint() || state != xstate {
+					t.Fatalf("an extra parameter changed the outcome:\n%v / %v\n--- exact ---\n%s--- extra ---\n%s",
+						res.Rows, xres.Rows, state, xstate)
+				}
+				if rec.SQL != xrec.SQL || len(xrec.Params) != len(extra) {
+					t.Fatalf("record = %q %v, want %q with the caller's %d parameters", xrec.SQL, xrec.Params, rec.SQL, len(extra))
+				}
+			})
+		}
+	}
+}
+
+// TestPlanCountersMatchExecs: every engine execution runs a cached
+// handle, so the plan counters account for every DML execution the exec
+// latency histograms observe — application statements and ttdb's own
+// bookkeeping (history inserts, rollback, purges, GC) alike — and once
+// each form is planned, repeating the work compiles nothing.
+func TestPlanCountersMatchExecs(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
+	db := newDB(t)
+	seedPages(t, db)
+	observed := func() uint64 {
+		var n uint64
+		for _, h := range obs.Default.Snapshot().Histograms {
+			if strings.HasPrefix(h.Name, "warp_sqldb_exec_seconds") {
+				n += h.Hist.Count
+			}
+		}
+		return n
+	}
+	round := func(i int) {
+		var first *Record
+		for j := 0; j < 5; j++ {
+			_, rec := mustExec(t, db, "UPDATE pages SET content = ? WHERE page_id = ?",
+				sqldb.Text(fmt.Sprintf("edit %d.%d", i, j)), sqldb.Int(1))
+			if first == nil {
+				first = rec
+			}
+			mustExec(t, db, "SELECT content FROM pages WHERE page_id = ?", sqldb.Int(1))
+		}
+		mustExec(t, db, "INSERT INTO pages (page_id, title, editor, content) VALUES (?, ?, ?, ?)",
+			sqldb.Int(int64(100+i)), sqldb.Text(fmt.Sprintf("P%d", i)), sqldb.Int(10), sqldb.Text("x"))
+		if _, err := db.BeginRepair(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.RollbackRows("pages", []sqldb.Value{sqldb.Int(1)}, first.Time+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.FinishRepair(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.GC(db.Clock().Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s0, o0 := db.ExecStats(), observed()
+	round(0)
+	s1, o1 := db.ExecStats(), observed()
+	d := s1.Sub(s0)
+	if d.PlanHits+d.PlanMisses != o1-o0 || o1 == o0 {
+		t.Fatalf("plan hits+misses = %d+%d, exec observations = %d", d.PlanHits, d.PlanMisses, o1-o0)
+	}
+	round(1)
+	s2, o2 := db.ExecStats(), observed()
+	d = s2.Sub(s1)
+	if d.PlanHits+d.PlanMisses != o2-o1 {
+		t.Fatalf("repeat: plan hits+misses = %d+%d, exec observations = %d", d.PlanHits, d.PlanMisses, o2-o1)
+	}
+	if d.PlanMisses != 0 {
+		t.Fatalf("repeat compiled %d plans, want 0", d.PlanMisses)
+	}
 }

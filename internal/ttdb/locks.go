@@ -318,15 +318,7 @@ func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
 		}
 	}
 	lo, hi := sc.keys[0], sc.keys[len(sc.keys)-1]
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
-		Table: m.name,
-		Where: sqldb.And(
-			&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(m.lockCol), Right: sqldb.Lit(sqldb.Text(lo[1:]))},
-			&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(m.lockCol), Right: sqldb.Lit(sqldb.Text(hi[1:]))},
-		),
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
+	res, err := db.raw.ExecCached(db.stmtsFor(m).density, []sqldb.Value{sqldb.Text(lo[1:]), sqldb.Text(hi[1:])})
 	if err != nil {
 		return sc
 	}

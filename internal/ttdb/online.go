@@ -113,17 +113,22 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 	sc := m.effectiveScope(db, db.scopeForRows(m, []sqldb.Value{rowID}))
 	m.locks.lock(sc)
 	defer m.locks.unlock(sc)
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(info.Column)}},
-		Table: m.name,
-		Where: sqldb.And(sqldb.Eq(m.rowIDCol, rowID), liveWhere(t-1, st.next)),
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
-	if err != nil || len(res.Rows) != 1 {
+	versions, err := db.readVersions(m, rowID, st.next)
+	if err != nil {
 		return "", false
 	}
-	v := res.Rows[0][0]
-	if v.Kind != sqldb.KindText {
+	// The version live at t-1 in the repair generation.
+	var live []physicalRow
+	for _, pr := range versions {
+		if pr.start <= t-1 && pr.end > t-1 {
+			live = append(live, pr)
+		}
+	}
+	if len(live) != 1 {
+		return "", false
+	}
+	v, ok := live[0].val(info.Column)
+	if !ok || v.Kind != sqldb.KindText {
 		return "", false
 	}
 	return v.Str, true

@@ -2,6 +2,7 @@ package ttdb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"warp/internal/sqldb"
@@ -547,14 +548,12 @@ func (db *DB) RestoreTableHeader(dec *store.Decoder) (string, error) {
 	if err := dec.Err(); err != nil {
 		return "", err
 	}
-	if _, err := db.raw.ExecStmt(ct, nil); err != nil {
+	if _, err := db.raw.ExecCached(sqldb.NewCachedStmt(ct), nil); err != nil {
 		return "", err
 	}
 	nIdx := dec.Count()
 	for i := 0; i < nIdx; i++ {
-		col := dec.String()
-		ci := &sqldb.CreateIndex{Name: "warp_idx_" + name + "_" + col, Table: name, Column: col}
-		if _, err := db.raw.ExecStmt(ci, nil); err != nil {
+		if err := db.createIndex(name, dec.String()); err != nil {
 			return "", err
 		}
 	}
@@ -619,20 +618,16 @@ func (db *DB) RestoreTableShard(dec *store.Decoder) error {
 		return nil
 	}
 	m.restore = nil
+	if len(buf.rows) > 0 && !slices.Equal(buf.cols, db.physicalColumns(m)) {
+		return fmt.Errorf("ttdb: snapshot rows of %s have columns %v, schema has %v", name, buf.cols, db.physicalColumns(m))
+	}
 	sort.Slice(buf.rows, func(i, j int) bool { return buf.rows[i].pos < buf.rows[j].pos })
-	const chunk = 256
-	ins := &sqldb.Insert{Table: name, Columns: buf.cols}
-	for i, row := range buf.rows {
-		exprs := make([]sqldb.Expr, len(row.vals))
-		for j, v := range row.vals {
-			exprs[j] = sqldb.Lit(v)
-		}
-		ins.Rows = append(ins.Rows, exprs)
-		if len(ins.Rows) == chunk || i == len(buf.rows)-1 {
-			if _, err := db.raw.ExecStmt(ins, nil); err != nil {
-				return err
-			}
-			ins.Rows = ins.Rows[:0]
+	// Rows insert one by one in slot order, so they land in the same
+	// relative order they were encoded in.
+	ins := db.stmtsFor(m).insertRow
+	for _, row := range buf.rows {
+		if _, err := db.raw.ExecCached(ins, row.vals); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -738,14 +733,13 @@ func (db *DB) Replay(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
-	stmt := cs.Stmt
-	m, sc, unlock, err := db.lockFor(stmt, rec.Params)
+	m, sc, unlock, err := db.lockFor(cs.Stmt, rec.Params)
 	if err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	defer unlock()
 	db.clock.AdvanceTo(rec.Time)
-	if _, _, err := db.execAt(stmt, cs, rec.Params, rec.Time, rec.Gen, rec, m, sc); err != nil {
+	if _, _, err := db.execAt(cs, rec.Params, rec.Time, rec.Gen, rec, m, sc); err != nil {
 		return fmt.Errorf("ttdb: replaying %q: %w", rec.SQL, err)
 	}
 	return nil

@@ -60,11 +60,7 @@ func (db *DB) FinishRepair() error {
 	db.inRepair = false
 	// Purge rows invisible from the new current generation onward.
 	for _, m := range metas {
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(cur))},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(db.stmtsFor(m).purgeOld, []sqldb.Value{sqldb.Int(cur)}); err != nil {
 			return err
 		}
 	}
@@ -84,21 +80,13 @@ func (db *DB) AbortRepair() error {
 	cur := db.currentGen.Load()
 	next := cur + 1
 	for _, m := range metas {
+		st := db.stmtsFor(m)
 		// Rows created by repair vanish...
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(st.purgeNew, []sqldb.Value{sqldb.Int(next)}); err != nil {
 			return err
 		}
 		// ...and rows demoted during repair become shared again.
-		upd := &sqldb.Update{
-			Table: m.name,
-			Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
-			Where: sqldb.Eq(ColEndGen, sqldb.Int(cur)),
-		}
-		if _, err := db.raw.ExecStmt(upd, nil); err != nil {
+		if _, err := db.raw.ExecCached(st.unDemote, []sqldb.Value{sqldb.Int(cur)}); err != nil {
 			return err
 		}
 	}
@@ -170,69 +158,38 @@ func (db *DB) checkVersionsInScope(m *tableMeta, versions []physicalRow, sc lock
 	return nil
 }
 
-// targetWhere builds a predicate that identifies exactly one physical row
-// version by row ID and version interval.
-func (db *DB) targetWhere(m *tableMeta, pr physicalRow) sqldb.Expr {
-	return sqldb.And(
-		sqldb.Eq(m.rowIDCol, pr.rowID),
-		sqldb.Eq(ColStartTime, sqldb.Int(pr.start)),
-		sqldb.Eq(ColEndTime, sqldb.Int(pr.end)),
-		sqldb.Eq(ColStartGen, sqldb.Int(pr.sGen)),
-		sqldb.Eq(ColEndGen, sqldb.Int(pr.eGen)),
-	)
-}
-
 // demote confines a shared physical row to generations up to current, so
 // the next generation no longer sees it (§4.4 preservation).
 func (db *DB) demote(m *tableMeta, pr physicalRow) error {
-	upd := &sqldb.Update{
-		Table: m.name,
-		Set:   []sqldb.Assignment{{Column: ColEndGen, Expr: sqldb.Lit(sqldb.Int(db.currentGen.Load()))}},
-		Where: db.targetWhere(m, pr),
-	}
-	res, err := db.raw.ExecStmt(upd, nil)
+	return db.execTarget(m, "demote", db.stmtsFor(m).demote, targetParams(pr, sqldb.Int(db.currentGen.Load())))
+}
+
+// deletePhysical removes one physical row version outright.
+func (db *DB) deletePhysical(m *tableMeta, pr physicalRow) error {
+	return db.execTarget(m, "delete", db.stmtsFor(m).deleteVersion, targetParams(pr))
+}
+
+// execTarget runs a handle that must affect exactly the one version its
+// target parameters name.
+func (db *DB) execTarget(m *tableMeta, op string, cs *sqldb.CachedStmt, params []sqldb.Value) error {
+	res, err := db.raw.ExecCached(cs, params)
 	if err != nil {
 		return err
 	}
 	if res.Affected != 1 {
-		return fmt.Errorf("ttdb: demote targeted %d rows in %s, want 1", res.Affected, m.name)
+		return fmt.Errorf("ttdb: %s targeted %d rows in %s, want 1", op, res.Affected, m.name)
 	}
 	return nil
 }
 
 // insertCopy inserts a copy of pr with the given version overrides.
 func (db *DB) insertCopy(m *tableMeta, pr physicalRow, end int64, sGen, eGen int64) error {
-	cols := db.physicalColumns(m)
-	ins := &sqldb.Insert{Table: m.name, Columns: cols}
-	vals := make([]sqldb.Expr, len(cols))
-	for i, c := range cols {
-		v := pr.colVal(c)
-		switch c {
-		case ColEndTime:
-			v = sqldb.Int(end)
-		case ColStartGen:
-			v = sqldb.Int(sGen)
-		case ColEndGen:
-			v = sqldb.Int(eGen)
-		}
-		vals[i] = sqldb.Lit(v)
-	}
-	ins.Rows = [][]sqldb.Expr{vals}
-	_, err := db.raw.ExecStmt(ins, nil)
+	vals := append([]sqldb.Value(nil), pr.row...)
+	vals[pr.cols[ColEndTime]] = sqldb.Int(end)
+	vals[pr.cols[ColStartGen]] = sqldb.Int(sGen)
+	vals[pr.cols[ColEndGen]] = sqldb.Int(eGen)
+	_, err := db.raw.ExecCached(db.stmtsFor(m).insertRow, vals)
 	return err
-}
-
-// deletePhysical removes one physical row version outright.
-func (db *DB) deletePhysical(m *tableMeta, pr physicalRow) error {
-	del := &sqldb.Delete{Table: m.name, Where: db.targetWhere(m, pr)}
-	res, err := db.raw.ExecStmt(del, nil)
-	if err != nil {
-		return err
-	}
-	if res.Affected != 1 {
-		return fmt.Errorf("ttdb: delete targeted %d rows in %s, want 1", res.Affected, m.name)
-	}
-	return nil
 }
 
 // scopeForRows derives the lock scope for operating on the given rows:
@@ -244,22 +201,16 @@ func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
 	if db.coarseLocks.Load() || m.lockCol == "" || len(rowIDs) == 0 {
 		return wholeScope()
 	}
-	list := make([]sqldb.Expr, len(rowIDs))
-	for i, id := range rowIDs {
-		list[i] = sqldb.Lit(id)
-	}
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}},
-		Table: m.name,
-		Where: &sqldb.InExpr{Expr: sqldb.Col(m.rowIDCol), List: list},
-	}
-	res, err := db.raw.ExecStmt(sel, nil)
-	if err != nil {
-		return wholeScope()
-	}
-	keys := make([]string, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		keys = append(keys, row[0].Key())
+	probe := db.stmtsFor(m).lockKey
+	var keys []string
+	for _, id := range rowIDs {
+		res, err := db.raw.ExecCached(probe, []sqldb.Value{id})
+		if err != nil {
+			return wholeScope()
+		}
+		for _, row := range res.Rows {
+			keys = append(keys, row[0].Key())
+		}
 	}
 	return db.maybeCoalesce(m, keyScope(keys))
 }
@@ -286,16 +237,10 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 	next := st.next
 
 	// All versions of this row visible anywhere in the next generation.
-	where := sqldb.And(
-		sqldb.Eq(m.rowIDCol, rowID),
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))},
-	)
-	res, err := db.selectPhysical(m, where, nil)
+	versions, err := db.readVersions(m, rowID, next)
 	if err != nil {
 		return nil, err
 	}
-	versions := db.decodePhysical(m, res)
 	if err := db.checkVersionsInScope(m, versions, sc); err != nil {
 		return nil, err
 	}
@@ -361,12 +306,7 @@ func (db *DB) rollbackRowLocked(m *tableMeta, rowID sqldb.Value, t int64, st rep
 			return nil, err
 		}
 		if latest.sGen >= next {
-			upd := &sqldb.Update{
-				Table: m.name,
-				Set:   []sqldb.Assignment{{Column: ColEndTime, Expr: sqldb.Lit(sqldb.Int(Infinity))}},
-				Where: db.targetWhere(m, *latest),
-			}
-			if _, err := db.raw.ExecStmt(upd, nil); err != nil {
+			if _, err := db.raw.ExecCached(db.stmtsFor(m).revive, targetParams(*latest)); err != nil {
 				return nil, err
 			}
 		} else {
@@ -394,41 +334,19 @@ type collider struct {
 // share a uniqueness key with pr, returning each with all of its
 // next-generation-visible versions.
 func (db *DB) revivalColliders(m *tableMeta, pr physicalRow, st repairState) ([]collider, error) {
-	next := st.next
-	_, uniques, err := db.raw.Schema(m.name)
-	if err != nil {
-		return nil, err
-	}
 	var out []collider
 	seen := make(map[string]bool)
-	for _, u := range uniques {
-		// Build the live-collision probe over the constraint's application
-		// columns (the version columns were appended by createTable).
-		var conds []sqldb.Expr
-		usable := true
-		for _, col := range u.Columns {
-			switch col {
-			case ColEndTime, ColEndGen:
-				continue
-			case ColStartTime, ColStartGen:
-				usable = false
-			default:
-				v, ok := pr.val(col)
-				if !ok || v.IsNull() {
-					usable = false
-				} else {
-					conds = append(conds, sqldb.Eq(col, v))
-				}
+	for _, probe := range db.stmtsFor(m).colliders {
+		params := make([]sqldb.Value, 0, len(probe.cols)+1)
+		for _, col := range probe.cols {
+			if v, ok := pr.val(col); ok && !v.IsNull() {
+				params = append(params, v)
 			}
 		}
-		if !usable || len(conds) == 0 {
-			continue
+		if len(params) < len(probe.cols) {
+			continue // a NULL key never collides
 		}
-		where := sqldb.And(append(conds,
-			sqldb.Eq(ColEndTime, sqldb.Int(Infinity)),
-			&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-			&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))})...)
-		res, err := db.selectPhysical(m, where, nil)
+		res, err := db.raw.ExecCached(probe.stmt, append(params, sqldb.Int(st.next)))
 		if err != nil {
 			return nil, err
 		}
@@ -437,16 +355,11 @@ func (db *DB) revivalColliders(m *tableMeta, pr physicalRow, st repairState) ([]
 				continue
 			}
 			seen[other.rowID.Key()] = true
-			vWhere := sqldb.And(
-				sqldb.Eq(m.rowIDCol, other.rowID),
-				&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))},
-				&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(next))},
-			)
-			vRes, err := db.selectPhysical(m, vWhere, nil)
+			versions, err := db.readVersions(m, other.rowID, st.next)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, collider{rowID: other.rowID, versions: db.decodePhysical(m, vRes)})
+			out = append(out, collider{rowID: other.rowID, versions: versions})
 		}
 	}
 	return out, nil
@@ -537,14 +450,7 @@ func (db *DB) ReExec(src string, params []sqldb.Value, t int64, orig *Record) (*
 	if err != nil {
 		return nil, nil, err
 	}
-	return db.reExecStmt(cs.Stmt, cs, params, t, orig)
-}
-
-// ReExecPrepared is ReExec for a cached statement handle: repair replay
-// re-executes each recorded query without re-parsing or re-stringifying
-// its SQL (the handle carries both the AST and the canonical text).
-func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
-	return db.reExecStmt(cs.Stmt, cs, params, t, orig)
+	return db.ReExecPrepared(cs, params, t, orig)
 }
 
 // origScope derives the lock-column keys the original record's write set
@@ -570,15 +476,15 @@ func origScope(m *tableMeta, orig *Record) lockScope {
 	return keyScope(keys)
 }
 
-// ReExecStmt is ReExec for a parsed statement. Re-executions on disjoint
-// partition scopes — different tables, or disjoint lock-column keys of one
-// table — run in parallel; the scope is held for the full two-phase span
-// so a re-execution is atomic with respect to overlapping operations.
-func (db *DB) ReExecStmt(stmt sqldb.Statement, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
-	return db.reExecStmt(stmt, nil, params, t, orig)
-}
-
-func (db *DB) reExecStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
+// ReExecPrepared is ReExec for a cached statement handle: repair replay
+// re-executes each recorded query without re-parsing or re-stringifying
+// its SQL (the handle carries both the AST and the canonical text).
+// Re-executions on disjoint partition scopes — different tables, or
+// disjoint lock-column keys of one table — run in parallel; the scope is
+// held for the full two-phase span so a re-execution is atomic with
+// respect to overlapping operations.
+func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, orig *Record) (*sqldb.Result, *Record, error) {
+	stmt := cs.Stmt
 	st, err := db.repairSnapshot()
 	if err != nil {
 		return nil, nil, fmt.Errorf("ttdb: ReExec outside repair")
@@ -617,15 +523,15 @@ func (db *DB) reExecStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sq
 	switch s := stmt.(type) {
 	case *sqldb.Insert:
 		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecInsert(s, cs, params, t, st, orig, m, sc, dirt)
+			return db.reExecInsert(cs, params, t, st, orig, m, sc, dirt)
 		})
 	case *sqldb.Update:
 		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecWrite(stmt, cs, s.Table, s.Where, params, t, st, orig, m, sc, dirt)
+			return db.reExecWrite(cs, params, t, st, orig, m, sc, dirt)
 		})
 	case *sqldb.Delete:
 		return run(s.Table, func(m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
-			return db.reExecWrite(stmt, cs, s.Table, s.Where, params, t, st, orig, m, sc, dirt)
+			return db.reExecWrite(cs, params, t, st, orig, m, sc, dirt)
 		})
 	default:
 		// Reads re-execute at their original time; DDL during repair
@@ -635,11 +541,11 @@ func (db *DB) reExecStmt(stmt sqldb.Statement, cs *sqldb.CachedStmt, params []sq
 			return nil, nil, err
 		}
 		defer unlock()
-		return db.execAt(stmt, cs, params, t, st.next, orig, m, sc)
+		return db.execAt(cs, params, t, st.next, orig, m, sc)
 	}
 }
 
-func (db *DB) reExecInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
+func (db *DB) reExecInsert(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
 	db.markDirtyScope(m, sc)
 	if orig != nil {
 		for _, id := range orig.WriteRowIDs {
@@ -650,7 +556,7 @@ func (db *DB) reExecInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb
 			dirt.AddAll(ps)
 		}
 	}
-	res, rec, err := db.execAt(s, cs, params, t, st.next, orig, m, sc)
+	res, rec, err := db.execAt(cs, params, t, st.next, orig, m, sc)
 	if err != nil && rec == nil {
 		return nil, nil, err
 	}
@@ -664,22 +570,18 @@ func (db *DB) reExecInsert(s *sqldb.Insert, cs *sqldb.CachedStmt, params []sqldb
 }
 
 // reExecWrite implements two-phase re-execution for UPDATE and DELETE.
-func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table string, where sqldb.Expr, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
+func (db *DB) reExecWrite(cs *sqldb.CachedStmt, params []sqldb.Value, t int64, st repairState, orig *Record, m *tableMeta, sc lockScope, dirt *PartitionSet) (*sqldb.Result, *Record, error) {
 	db.markDirtyScope(m, sc) // phases B/C mutate even when the final exec fails
 	next := st.next
 
 	// Phase A: find the rows the new WHERE clause matches at time t in the
-	// repair generation.
-	var userWhere sqldb.Expr
-	if where != nil {
-		userWhere = where.CloneExpr()
+	// repair generation, through the statement's capture read.
+	a := db.rewriteFor(m, cs)
+	ext, err := a.bind(params, t, next, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	sel := &sqldb.Select{
-		Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.rowIDCol)}},
-		Table: table,
-		Where: sqldb.And(userWhere, liveWhere(t, next)),
-	}
-	newRes, err := db.raw.ExecStmt(sel, params)
+	matches, err := db.raw.ExecCached(a.read, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -695,10 +597,10 @@ func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table stri
 			}
 		}
 	}
-	for _, row := range newRes.Rows {
-		if !seen[row[0].Key()] {
-			seen[row[0].Key()] = true
-			all = append(all, row[0])
+	for _, pr := range db.decodePhysical(m, matches) {
+		if !seen[pr.rowID.Key()] {
+			seen[pr.rowID.Key()] = true
+			all = append(all, pr.rowID)
 		}
 	}
 	for _, id := range all {
@@ -711,10 +613,10 @@ func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table stri
 
 	// Phase C: execute the write at t in the repair generation, preserving
 	// any still-shared matched rows for the current generation first.
-	if err := db.preserveSharedMatches(m, userWhere, params, t, next); err != nil {
+	if err := db.preserveSharedMatches(m, a, ext, next); err != nil {
 		return nil, nil, err
 	}
-	res, rec, err := db.execAt(stmt, cs, params, t, next, orig, m, sc)
+	res, rec, err := db.execAt(cs, params, t, next, orig, m, sc)
 	if err != nil && rec == nil {
 		return nil, nil, err
 	}
@@ -729,19 +631,17 @@ func (db *DB) reExecWrite(stmt sqldb.Statement, cs *sqldb.CachedStmt, table stri
 
 // preserveSharedMatches implements §4.4: before a repair-generation write
 // touches rows still shared with the current generation, each such row is
-// demoted and a next-generation copy takes its place.
-func (db *DB) preserveSharedMatches(m *tableMeta, userWhere sqldb.Expr, params []sqldb.Value, t, next int64) error {
-	var w sqldb.Expr
-	if userWhere != nil {
-		w = userWhere.CloneExpr()
-	}
-	where := sqldb.And(w, liveWhere(t, next),
-		&sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(next))})
-	res, err := db.selectPhysical(m, where, params)
+// demoted and a next-generation copy takes its place. ext binds a's
+// capture read at the write's time in generation next.
+func (db *DB) preserveSharedMatches(m *tableMeta, a *rewrite, ext []sqldb.Value, next int64) error {
+	res, err := db.raw.ExecCached(a.read, ext)
 	if err != nil {
 		return err
 	}
 	for _, pr := range db.decodePhysical(m, res) {
+		if pr.sGen >= next {
+			continue // already private to the next generation
+		}
 		if err := db.demote(m, pr); err != nil {
 			return err
 		}
@@ -766,17 +666,7 @@ func (db *DB) GC(beforeTime int64) error {
 	cur := db.currentGen.Load()
 	db.markAllDirty() // GC rewrites every table's physical row set
 	for _, m := range metas {
-		del := &sqldb.Delete{
-			Table: m.name,
-			Where: &sqldb.BinaryExpr{
-				Op:   sqldb.OpOr,
-				Left: &sqldb.BinaryExpr{Op: sqldb.OpLt, Left: sqldb.Col(ColEndTime), Right: sqldb.Lit(sqldb.Int(beforeTime))},
-				Right: &sqldb.BinaryExpr{
-					Op: sqldb.OpLt, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(cur)),
-				},
-			},
-		}
-		if _, err := db.raw.ExecStmt(del, nil); err != nil {
+		if _, err := db.raw.ExecCached(db.stmtsFor(m).gc, []sqldb.Value{sqldb.Int(beforeTime), sqldb.Int(cur)}); err != nil {
 			return err
 		}
 		m.pruneIndexBefore(beforeTime)

@@ -119,6 +119,9 @@ type tableMeta struct {
 	// re-insert in their original physical scan order regardless of which
 	// shard they live in (persist.go).
 	restore *tableRestore
+
+	// stmts is the table's bookkeeping statement set (tablestmts.go).
+	stmts atomic.Pointer[tableStmts]
 }
 
 // tableRestore accumulates a table's row shards during snapshot restore.
@@ -582,7 +585,7 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		aug.Uniques[i].Columns = append(aug.Uniques[i].Columns, ColEndTime, ColEndGen)
 		aug.Uniques[i].Primary = false
 	}
-	if _, err := db.raw.ExecStmt(aug, nil); err != nil {
+	if _, err := db.raw.ExecCached(sqldb.NewCachedStmt(aug), nil); err != nil {
 		return err
 	}
 	// Indexes keep rollback and row-targeted rewrites fast.
@@ -591,8 +594,7 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 		indexCols[pc] = true
 	}
 	for col := range indexCols {
-		ci := &sqldb.CreateIndex{Name: "warp_idx_" + ct.Table + "_" + col, Table: ct.Table, Column: col}
-		if _, err := db.raw.ExecStmt(ci, nil); err != nil {
+		if err := db.createIndex(ct.Table, col); err != nil {
 			return err
 		}
 	}
@@ -602,15 +604,11 @@ func (db *DB) createTable(ct *sqldb.CreateTable) error {
 	return nil
 }
 
-// liveWhere returns the predicate selecting versions visible at time t in
-// generation g: start_time <= t < end_time AND start_gen <= g <= end_gen.
-func liveWhere(t, g int64) sqldb.Expr {
-	return sqldb.And(
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartTime), Right: sqldb.Lit(sqldb.Int(t))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGt, Left: sqldb.Col(ColEndTime), Right: sqldb.Lit(sqldb.Int(t))},
-		&sqldb.BinaryExpr{Op: sqldb.OpLe, Left: sqldb.Col(ColStartGen), Right: sqldb.Lit(sqldb.Int(g))},
-		&sqldb.BinaryExpr{Op: sqldb.OpGe, Left: sqldb.Col(ColEndGen), Right: sqldb.Lit(sqldb.Int(g))},
-	)
+// createIndex creates WARP's index on one column of a table.
+func (db *DB) createIndex(table, col string) error {
+	ci := &sqldb.CreateIndex{Name: "warp_idx_" + table + "_" + col, Table: table, Column: col}
+	_, err := db.raw.ExecCached(sqldb.NewCachedStmt(ci), nil)
+	return err
 }
 
 // metaColumns lists WARP's bookkeeping columns in a stable order.
