@@ -37,8 +37,7 @@ func guestbook(sanitize bool) warp.Script {
 			fmt.Fprintf(&b, "<li>%s: %s</li>", row[0].AsText(), row[1].AsText())
 		}
 		b.WriteString("</ul></body></html>")
-		return &warp.Response{Status: 200, Body: b.String(),
-			Headers: map[string]string{"Content-Type": "text/html"}, SetCookies: map[string]string{}}
+		return warp.HTML(b.String())
 	}
 }
 

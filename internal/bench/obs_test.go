@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"warp/internal/app"
 	"warp/internal/core"
+	"warp/internal/httpd"
 	"warp/internal/obs"
 	"warp/internal/ttdb"
 )
@@ -18,9 +20,16 @@ import (
 // visit-replay chains, parallel workers), Warp.Metrics() must report
 // the repair in flight — active gauge up, scheduler progress gauges
 // moving, phase trace accumulating — and after it finishes, a complete
-// phase breakdown plus populated exec latency histograms. The
-// concurrent Metrics() polling is also the -race stress for histogram,
-// counter, and trace writes during parallel repair.
+// phase breakdown plus populated exec latency histograms.
+//
+// The in-flight observations are taken synchronously inside the repair,
+// not by polling on a timer: from the page handler, which the repair
+// re-executes on its workers during the first replay pass, and from the
+// repair-controller trace hook, which runs at every controller step,
+// including the catch-up and commit-window passes after the first replay
+// span has ended. The concurrent Metrics() calls from parallel workers
+// are also the -race stress for histogram, counter, and trace writes
+// during parallel repair.
 func TestRepairMetricsLive(t *testing.T) {
 	prev := obs.Enabled()
 	obs.SetEnabled(true)
@@ -32,7 +41,45 @@ func TestRepairMetricsLive(t *testing.T) {
 		workers = 4
 		latency = 2 * time.Millisecond
 	)
-	w := core.New(core.Config{Seed: 99, RepairWorkers: workers})
+	var (
+		w         *core.Warp
+		observing atomic.Bool
+		mu        sync.Mutex
+		// From the re-executed page handler.
+		handlerRuns, handlerActive, handlerLive int
+		// From the controller trace hook.
+		sawReplayPhase bool
+		maxReplayed    int64
+	)
+	observe := func(fromHandler bool) {
+		if !observing.Load() {
+			return
+		}
+		m := w.Metrics()
+		mu.Lock()
+		defer mu.Unlock()
+		if g := m.Obs.Gauge("warp_core_repair_actions_replayed"); g > maxReplayed {
+			maxReplayed = g
+		}
+		live := m.Repair != nil && !m.Repair.Done
+		if fromHandler {
+			handlerRuns++
+			if m.Obs.Gauge("warp_core_repair_active") == 1 {
+				handlerActive++
+			}
+			// The frontier span has ended and the replay span that runs
+			// this handler is open.
+			if live && m.Repair.Phase("frontier").Count == 1 && m.Repair.Open > 0 {
+				handlerLive++
+			}
+			return
+		}
+		if live && m.Repair.Phase("replay").Count > 0 {
+			sawReplayPhase = true
+		}
+	}
+	w = core.New(core.Config{Seed: 99, RepairWorkers: workers,
+		Trace: func(string, ...any) { observe(false) }})
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +89,12 @@ func TestRepairMetricsLive(t *testing.T) {
 	if err := w.Runtime.Register("login.php", app.Version{Entry: loginHandler(false)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Runtime.Register("page.php", app.Version{Entry: postsHandler(latency)}); err != nil {
+	posts := postsHandler(latency)
+	page := func(c *app.Ctx) *httpd.Response {
+		observe(true)
+		return posts(c)
+	}
+	if err := w.Runtime.Register("page.php", app.Version{Entry: page}); err != nil {
 		t.Fatal(err)
 	}
 	w.Runtime.Mount("/login", "login.php")
@@ -63,48 +115,25 @@ func TestRepairMetricsLive(t *testing.T) {
 
 	before := obs.Default.Snapshot()
 
-	// Poll the metrics surface while the repair runs. Each client's
-	// replay chain is pages+1 visits of ≥latency serial work, so the
-	// repair takes several milliseconds even across workers — plenty of
-	// 200µs polling windows to catch it live.
-	stop := make(chan struct{})
-	var pollers sync.WaitGroup
-	var sawActive, sawReplayPhase bool
-	var maxReplayed int64
-	pollers.Add(1)
-	go func() {
-		defer pollers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			m := w.Metrics()
-			if m.Obs.Gauge("warp_core_repair_active") == 1 {
-				sawActive = true
-			}
-			if g := m.Obs.Gauge("warp_core_repair_actions_replayed"); g > maxReplayed {
-				maxReplayed = g
-			}
-			if m.Repair != nil && !m.Repair.Done && m.Repair.Phase("replay").Count > 0 {
-				sawReplayPhase = true
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
+	observing.Store(true)
 	rep, err := w.RetroPatch("login.php", app.Version{Entry: loginHandler(true), Note: "session hardening"})
-	close(stop)
-	pollers.Wait()
+	observing.Store(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := clients * (pages + 1); rep.PageVisitsReplayed != want {
 		t.Fatalf("visits replayed = %d, want %d", rep.PageVisitsReplayed, want)
 	}
-	if !sawActive {
-		t.Error("never observed warp_core_repair_active = 1 during the repair")
+	// The patched login sets a new cookie, so every client's page visits
+	// replay and re-execute their runs.
+	if handlerRuns < clients*pages {
+		t.Errorf("repair re-executed the page handler %d times, want at least %d", handlerRuns, clients*pages)
+	}
+	if handlerActive != handlerRuns {
+		t.Errorf("warp_core_repair_active = 1 in %d of %d re-executed runs", handlerActive, handlerRuns)
+	}
+	if handlerLive != handlerRuns {
+		t.Errorf("a live trace inside its replay phase in %d of %d re-executed runs", handlerLive, handlerRuns)
 	}
 	if !sawReplayPhase {
 		t.Error("never observed a live (unfinished) repair trace with replay spans")

@@ -93,8 +93,10 @@ type VisitLog struct {
 	FormEncoded string // main request form body, for standalone replay
 	// Cookies is the browser's cookie jar when the visit started; the
 	// server-side re-execution browser loads it when replaying the visit
-	// standalone (§5.3).
-	Cookies map[string]string
+	// standalone (§5.3). It is the jar itself, shared with the browser
+	// and the visit's requests: jars are immutable, so later cookie
+	// changes replace the browser's jar and leave this one as it was.
+	Cookies httpd.Fields
 	// Time is the server's logical time when the log was uploaded; the
 	// repair controller orders visit replays by it. Assigned server-side.
 	Time int64
@@ -165,8 +167,10 @@ type Browser struct {
 
 	transport Transport
 	upload    func(*VisitLog)
-	cookies   map[string]string
-	visitSeq  int64
+	// cookies is replaced on every change, never modified: visit logs
+	// and requests share it.
+	cookies  httpd.Fields
+	visitSeq int64
 }
 
 // New creates a browser. upload receives visit logs as they are created
@@ -178,25 +182,18 @@ func New(transport Transport, upload func(*VisitLog), rng *rand.Rand) *Browser {
 		HasExtension: true,
 		transport:    transport,
 		upload:       upload,
-		cookies:      map[string]string{},
 	}
 }
 
 // Cookies returns a copy of the browser's cookie jar.
-func (b *Browser) Cookies() map[string]string {
-	out := make(map[string]string, len(b.cookies))
-	for k, v := range b.cookies {
-		out[k] = v
-	}
-	return out
-}
+func (b *Browser) Cookies() map[string]string { return b.cookies.Map() }
 
 // SetCookie sets a cookie directly (used by tests and by cookie
 // invalidation, §5.3).
-func (b *Browser) SetCookie(name, value string) { b.cookies[name] = value }
+func (b *Browser) SetCookie(name, value string) { b.cookies = b.cookies.With(name, value) }
 
 // ClearCookie removes a cookie.
-func (b *Browser) ClearCookie(name string) { delete(b.cookies, name) }
+func (b *Browser) ClearCookie(name string) { b.cookies = b.cookies.Without(name) }
 
 // Page is one open page in a browser frame.
 type Page struct {
@@ -216,16 +213,14 @@ type Page struct {
 	replayMatched map[int]bool
 }
 
-// roundTrip sends a request with cookies and extension headers, applies
-// cookie changes, and traces the exchange in the visit log.
+// roundTrip sends a request with cookies and extension identifiers,
+// applies cookie changes, and traces the exchange in the visit log.
 func (p *Page) roundTrip(method, rawURL string, form url.Values) (*httpd.Response, *httpd.Request) {
 	req := httpd.NewRequest(method, rawURL)
 	if form != nil {
 		req.Form = form
 	}
-	for k, v := range p.Browser.cookies {
-		req.Cookies[k] = v
-	}
+	req.Cookies = p.Browser.cookies
 	p.reqSeq++
 	requestID := p.reqSeq
 	if p.replayOrig != nil {
@@ -241,20 +236,12 @@ func (p *Page) roundTrip(method, rawURL string, form url.Values) (*httpd.Respons
 		req.ClientID = p.Browser.ClientID
 		req.VisitID = p.Log.VisitID
 		req.RequestID = requestID
-		req.Headers[httpd.HeaderClientID] = req.ClientID
-		req.Headers[httpd.HeaderVisitID] = fmt.Sprintf("%d", req.VisitID)
-		req.Headers[httpd.HeaderRequestID] = fmt.Sprintf("%d", req.RequestID)
 	}
 	resp := p.Browser.transport(req)
 	if resp == nil {
 		resp = httpd.ServerError("no response")
 	}
-	for k, v := range resp.SetCookies {
-		p.Browser.cookies[k] = v
-	}
-	for _, k := range resp.ClearCookies {
-		delete(p.Browser.cookies, k)
-	}
+	p.Browser.cookies = resp.ApplyCookies(p.Browser.cookies)
 	p.Log.Lock()
 	p.Log.Requests = append(p.Log.Requests, RequestTrace{
 		RequestID:   requestID,
@@ -298,7 +285,7 @@ func (b *Browser) newVisit(parent int64, isFrame bool, method, rawURL string, fo
 		URL:         rawURL,
 		Method:      method,
 		FormEncoded: form.Encode(),
-		Cookies:     b.Cookies(),
+		Cookies:     b.cookies,
 	}
 	p := &Page{Browser: b, Log: log}
 	if b.HasExtension && b.upload != nil {
@@ -326,14 +313,14 @@ func (b *Browser) navigate(parent int64, isFrame bool, method, rawURL string, fo
 func (p *Page) loadResponse(resp *httpd.Response, isFrame bool) {
 	// Follow one level of redirects (e.g. post-login), as browsers do.
 	for i := 0; i < 4 && resp.Status == 303; i++ {
-		loc := resp.Headers["Location"]
+		loc := resp.Headers.Get("Location")
 		if loc == "" {
 			break
 		}
 		p.URL = loc
 		resp, _ = p.roundTrip("GET", loc, url.Values{})
 	}
-	if isFrame && strings.EqualFold(resp.Headers["X-Frame-Options"], "DENY") {
+	if isFrame && strings.EqualFold(resp.Headers.Get("X-Frame-Options"), "DENY") {
 		// The clickjacking defense (Table 2): the browser refuses to render
 		// the document inside a frame.
 		p.Blocked = true

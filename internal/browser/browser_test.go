@@ -39,7 +39,7 @@ func (w *fakeWiki) transport(req *httpd.Request) *httpd.Response {
 			`<html><body><h1>%s</h1><div id="content">%s</div><a href="/edit.php?title=%s">edit</a></body></html>`,
 			title, body, url.QueryEscape(title)))
 		if w.frameDeny {
-			resp.Headers["X-Frame-Options"] = "DENY"
+			resp.SetHeader("X-Frame-Options", "DENY")
 		}
 		return resp
 	case "/edit.php":
@@ -232,7 +232,7 @@ func TestReplayCleanPageReissuesRequests(t *testing.T) {
 	editLog := logs[1]
 	replayW := newFakeWiki()
 	mainResp := replayW.transport(httpd.NewRequest("GET", editLog.URL))
-	out := ReplayVisit(editLog, mainResp, "", map[string]string{}, replayW.transport, FullReplay)
+	out := ReplayVisit(editLog, mainResp, "", httpd.Fields{}, replayW.transport, FullReplay)
 	if out.Conflicted() {
 		t.Fatalf("conflicts: %+v", out.Conflicts)
 	}
@@ -260,7 +260,7 @@ func TestReplayMergesUserEditOntoRepairedPage(t *testing.T) {
 	replayW := newFakeWiki()
 	replayW.pages["Main"] = "welcome to the wiki"
 	mainResp := replayW.transport(httpd.NewRequest("GET", editLog.URL))
-	out := ReplayVisit(editLog, mainResp, "", map[string]string{}, replayW.transport, FullReplay)
+	out := ReplayVisit(editLog, mainResp, "", httpd.Fields{}, replayW.transport, FullReplay)
 	if out.Conflicted() {
 		t.Fatalf("conflicts: %+v", out.Conflicts)
 	}
@@ -287,16 +287,16 @@ func TestReplayConflictMatrix(t *testing.T) {
 	replayW.pages["Main"] = "welcome to the wiki"
 	mainResp := replayW.transport(httpd.NewRequest("GET", editLog.URL))
 
-	out := ReplayVisit(editLog, mainResp, "", map[string]string{}, replayW.transport, FullReplay)
+	out := ReplayVisit(editLog, mainResp, "", httpd.Fields{}, replayW.transport, FullReplay)
 	if !out.Conflicted() || out.Conflicts[0].Kind != ConflictMerge {
 		t.Fatalf("overwrite should merge-conflict: %+v", out.Conflicts)
 	}
 	noMerge := ReplayConfig{HasLog: true, TextMerge: false}
-	out = ReplayVisit(editLog, mainResp, "", map[string]string{}, replayW.transport, noMerge)
+	out = ReplayVisit(editLog, mainResp, "", httpd.Fields{}, replayW.transport, noMerge)
 	if !out.Conflicted() || out.Conflicts[0].Kind != ConflictFieldChanged {
 		t.Fatalf("no-merge should field-conflict: %+v", out.Conflicts)
 	}
-	out = ReplayVisit(editLog, mainResp, "", map[string]string{}, replayW.transport, ReplayConfig{HasLog: false})
+	out = ReplayVisit(editLog, mainResp, "", httpd.Fields{}, replayW.transport, ReplayConfig{HasLog: false})
 	if !out.Conflicted() || out.Conflicts[0].Kind != ConflictNoLog {
 		t.Fatalf("no-log should conflict: %+v", out.Conflicts)
 	}
@@ -318,7 +318,7 @@ func TestReplayScriptGoneAfterRepair(t *testing.T) {
 	replayW.pages["Infected"] = "x"
 	mainResp := replayW.transport(httpd.NewRequest("GET", "/view.php?title=Infected"))
 	before := len(replayW.requests)
-	out := ReplayVisit(visitLog, mainResp, "", map[string]string{}, replayW.transport, FullReplay)
+	out := ReplayVisit(visitLog, mainResp, "", httpd.Fields{}, replayW.transport, FullReplay)
 	if out.Conflicted() {
 		t.Fatalf("clean replay conflicted: %+v", out.Conflicts)
 	}
@@ -344,8 +344,8 @@ func TestReplayFrameBlocked(t *testing.T) {
 
 	// After the clickjacking patch the frame response carries DENY.
 	resp := httpd.HTML("<html><body>content</body></html>")
-	resp.Headers["X-Frame-Options"] = "DENY"
-	out := ReplayVisit(frameLog, resp, "", map[string]string{}, w.transport, FullReplay)
+	resp.SetHeader("X-Frame-Options", "DENY")
+	out := ReplayVisit(frameLog, resp, "", httpd.Fields{}, w.transport, FullReplay)
 	if !out.Conflicted() || out.Conflicts[0].Kind != ConflictFrameBlocked {
 		t.Fatalf("expected frame-blocked conflict: %+v", out.Conflicts)
 	}
@@ -364,7 +364,7 @@ func TestReplayMatchesOriginalRequestIDs(t *testing.T) {
 	replayW := newFakeWiki()
 	replayW.pages["Infected"] = w.pages["Infected"]
 	mainResp := replayW.transport(httpd.NewRequest("GET", "/view.php?title=Infected"))
-	out := ReplayVisit(visitLog, mainResp, "", map[string]string{}, replayW.transport, FullReplay)
+	out := ReplayVisit(visitLog, mainResp, "", httpd.Fields{}, replayW.transport, FullReplay)
 	if len(out.Requests) != 1 {
 		t.Fatalf("replay requests: %+v", out.Requests)
 	}
@@ -390,7 +390,7 @@ func TestReplayUIConflictHook(t *testing.T) {
 	cfg.UIConflict = func(orig, repaired string) bool {
 		return strings.Contains(repaired, "$2000") && !strings.Contains(orig, "$2000")
 	}
-	out := ReplayVisit(visitLog, mainResp, "<html><body>balance: $1000</body></html>", map[string]string{}, w.transport, cfg)
+	out := ReplayVisit(visitLog, mainResp, "<html><body>balance: $1000</body></html>", httpd.Fields{}, w.transport, cfg)
 	if !out.Conflicted() || out.Conflicts[0].Kind != ConflictUI {
 		t.Fatalf("UI conflict hook: %+v", out.Conflicts)
 	}

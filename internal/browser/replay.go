@@ -97,7 +97,7 @@ type Outcome struct {
 	// CookiesAfter is the clone browser's cookie jar after replay, used
 	// for cookie invalidation when it diverges from the client's real
 	// timeline (§5.3).
-	CookiesAfter map[string]string
+	CookiesAfter httpd.Fields
 }
 
 // Conflicted reports whether any conflict occurred.
@@ -111,7 +111,7 @@ func (o *Outcome) Conflicted() bool { return len(o.Conflicts) > 0 }
 // received (for the UI-conflict hook); cookies is the clone's jar at this
 // point in the client's repaired timeline. The clone runs sandboxed: its
 // only capability is the transport and the given cookies.
-func ReplayVisit(log *VisitLog, mainResp *httpd.Response, origBody string, cookies map[string]string, transport Transport, cfg ReplayConfig) *Outcome {
+func ReplayVisit(log *VisitLog, mainResp *httpd.Response, origBody string, cookies httpd.Fields, transport Transport, cfg ReplayConfig) *Outcome {
 	out := &Outcome{CookiesAfter: cookies}
 	if !cfg.HasLog {
 		out.Conflicts = append(out.Conflicts, Conflict{
@@ -146,8 +146,8 @@ func ReplayVisit(log *VisitLog, mainResp *httpd.Response, origBody string, cooki
 			}
 		}
 		resp, _ := page.roundTrip(log.Method, log.URL, form)
-		for i := 0; i < 4 && resp.Status == 303 && resp.Headers["Location"] != ""; i++ {
-			resp, _ = page.roundTrip("GET", resp.Headers["Location"], url.Values{})
+		for i := 0; i < 4 && resp.Status == 303 && resp.Headers.Get("Location") != ""; i++ {
+			resp, _ = page.roundTrip("GET", resp.Headers.Get("Location"), url.Values{})
 		}
 		mainResp = resp
 	} else if mainResp != nil && len(log.Requests) > 0 {
@@ -162,7 +162,7 @@ func ReplayVisit(log *VisitLog, mainResp *httpd.Response, origBody string, cooki
 	switch {
 	case log.AttackerHTML != "":
 		page.DOM = dom.Parse(log.AttackerHTML)
-	case log.IsFrame && mainResp != nil && strings.EqualFold(mainResp.Headers["X-Frame-Options"], "DENY"):
+	case log.IsFrame && mainResp != nil && strings.EqualFold(mainResp.Headers.Get("X-Frame-Options"), "DENY"):
 		page.Blocked = true
 		out.Conflicts = append(out.Conflicts, Conflict{
 			Kind: ConflictFrameBlocked, Client: log.ClientID, VisitID: log.VisitID,

@@ -50,27 +50,23 @@ func decodeDeps(dec *store.Decoder) []history.Dep {
 	return out
 }
 
-func encodeStringMap(enc *store.Encoder, m map[string]string) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	enc.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
+// encodeFields writes a count and then the pairs in name order, the
+// layout sorted string maps had before Fields.
+func encodeFields(enc *store.Encoder, f httpd.Fields) {
+	enc.Uvarint(uint64(f.Len()))
+	for k, v := range f.All() {
 		enc.String(k)
-		enc.String(m[k])
+		enc.String(v)
 	}
 }
 
-func decodeStringMap(dec *store.Decoder) map[string]string {
+func decodeFields(dec *store.Decoder) httpd.Fields {
 	n := dec.Count()
-	m := make(map[string]string, n)
+	kv := make([]string, 0, 2*n)
 	for i := 0; i < n; i++ {
-		k := dec.String()
-		m[k] = dec.String()
+		kv = append(kv, dec.String(), dec.String())
 	}
-	return m
+	return httpd.NewFields(kv...)
 }
 
 func encodeURLValues(enc *store.Encoder, v url.Values) {
@@ -115,8 +111,8 @@ func encodeRequest(enc *store.Encoder, r *httpd.Request) {
 	enc.String(r.Path)
 	encodeURLValues(enc, r.Query)
 	encodeURLValues(enc, r.Form)
-	encodeStringMap(enc, r.Cookies)
-	encodeStringMap(enc, r.Headers)
+	encodeFields(enc, r.Cookies)
+	encodeFields(enc, r.Headers)
 	enc.String(r.ClientID)
 	enc.Int(r.VisitID)
 	enc.Int(r.RequestID)
@@ -131,8 +127,8 @@ func decodeRequest(dec *store.Decoder) *httpd.Request {
 		Path:      dec.String(),
 		Query:     decodeURLValues(dec),
 		Form:      decodeURLValues(dec),
-		Cookies:   decodeStringMap(dec),
-		Headers:   decodeStringMap(dec),
+		Cookies:   decodeFields(dec),
+		Headers:   decodeFields(dec),
 		ClientID:  dec.String(),
 		VisitID:   dec.Int(),
 		RequestID: dec.Int(),
@@ -147,8 +143,8 @@ func encodeResponse(enc *store.Encoder, r *httpd.Response) {
 	enc.Bool(true)
 	enc.Int(int64(r.Status))
 	enc.String(r.Body)
-	encodeStringMap(enc, r.Headers)
-	encodeStringMap(enc, r.SetCookies)
+	encodeFields(enc, r.Headers)
+	encodeFields(enc, r.SetCookies)
 	enc.Uvarint(uint64(len(r.ClearCookies)))
 	for _, c := range r.ClearCookies {
 		enc.String(c)
@@ -162,8 +158,8 @@ func decodeResponse(dec *store.Decoder) *httpd.Response {
 	r := &httpd.Response{
 		Status:     int(dec.Int()),
 		Body:       dec.String(),
-		Headers:    decodeStringMap(dec),
-		SetCookies: decodeStringMap(dec),
+		Headers:    decodeFields(dec),
+		SetCookies: decodeFields(dec),
 	}
 	n := dec.Count()
 	for i := 0; i < n; i++ {
@@ -365,7 +361,7 @@ func encodeVisitLog(enc *store.Encoder, v *browser.VisitLog) {
 	enc.String(v.URL)
 	enc.String(v.Method)
 	enc.String(v.FormEncoded)
-	encodeStringMap(enc, v.Cookies)
+	encodeFields(enc, v.Cookies)
 	enc.Int(v.Time)
 	enc.String(v.AttackerHTML)
 	enc.Uvarint(uint64(len(v.Events)))
@@ -396,7 +392,7 @@ func decodeVisitLog(dec *store.Decoder) *browser.VisitLog {
 		URL:         dec.String(),
 		Method:      dec.String(),
 		FormEncoded: dec.String(),
-		Cookies:     decodeStringMap(dec),
+		Cookies:     decodeFields(dec),
 		Time:        dec.Int(),
 	}
 	v.AttackerHTML = dec.String()

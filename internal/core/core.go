@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -113,9 +114,16 @@ type Warp struct {
 	runByHTTP map[history.NodeID]history.ActionID
 	srvReqSeq int64 // request counter for extensionless clients
 
-	// Partition index: table → partition nodes seen, for conservative
-	// whole-table dirt fan-out during repair.
-	partsByTable map[string]map[history.NodeID]bool
+	// Interned history node IDs, so every dependency edge on one node
+	// shares one string. partNodes (table → partition → node) is also
+	// the partition index repair fans whole-table dirt out over.
+	partNodes   map[string]map[ttdb.Partition]history.NodeID
+	fileNodes   map[string]history.NodeID
+	cookieNodes map[string]history.NodeID
+	// fileVersionSets holds one RunPayload.FileVersions map per distinct
+	// set of loaded files and versions, shared by every run that loaded
+	// exactly those.
+	fileVersionSets map[string]map[string]int
 
 	// Cookie invalidation queue (§5.3) and conflict queue (§5.4).
 	cookieInvalid map[string][]string
@@ -172,17 +180,20 @@ func New(cfg Config) *Warp {
 		db.SetTableGranularLocks(true)
 	}
 	return &Warp{
-		Clock:         clock,
-		DB:            db,
-		Runtime:       app.NewRuntime(db, cfg.Seed),
-		Graph:         history.New(),
-		cfg:           cfg,
-		rng:           rand.New(rand.NewSource(cfg.Seed ^ 0x5741525f)),
-		visitLogs:     make(map[string][]*browser.VisitLog),
-		visitByID:     make(map[string]map[int64]*browser.VisitLog),
-		runByHTTP:     make(map[history.NodeID]history.ActionID),
-		partsByTable:  make(map[string]map[history.NodeID]bool),
-		cookieInvalid: make(map[string][]string),
+		Clock:           clock,
+		DB:              db,
+		Runtime:         app.NewRuntime(db, cfg.Seed),
+		Graph:           history.New(),
+		cfg:             cfg,
+		rng:             rand.New(rand.NewSource(cfg.Seed ^ 0x5741525f)),
+		visitLogs:       make(map[string][]*browser.VisitLog),
+		visitByID:       make(map[string]map[int64]*browser.VisitLog),
+		runByHTTP:       make(map[history.NodeID]history.ActionID),
+		partNodes:       make(map[string]map[ttdb.Partition]history.NodeID),
+		fileNodes:       make(map[string]history.NodeID),
+		cookieNodes:     make(map[string]history.NodeID),
+		fileVersionSets: make(map[string]map[string]int),
+		cookieInvalid:   make(map[string][]string),
 	}
 }
 
@@ -190,7 +201,8 @@ func New(cfg Config) *Warp {
 type RunPayload struct {
 	Rec *app.RunRecord
 	// FileVersions snapshots the code versions the run used, so repair can
-	// prune runs whose code is unchanged.
+	// prune runs whose code is unchanged. Read-only: runs that loaded the
+	// same files at the same versions share one map.
 	FileVersions map[string]int
 	// QueryActions are the graph actions for the run's queries. Guarded by
 	// Warp.mu once the run action is published to the graph.
@@ -255,13 +267,13 @@ func (w *Warp) handleRequest(req *httpd.Request) *httpd.Response {
 	defer w.suspendMu.RUnlock()
 
 	// Cookie invalidation (§5.3): if repair left this client's replayed
-	// cookie diverged, delete the cookie on its next contact.
+	// cookie diverged, delete the cookie on its next contact. The request
+	// gets a reduced copy of its cookie set; the browser's jar it shares
+	// is left alone.
 	w.mu.Lock()
 	var invalidated []string
 	if names, ok := w.cookieInvalid[req.ClientID]; ok && req.ClientID != "" {
-		for _, n := range names {
-			delete(req.Cookies, n)
-		}
+		req.Cookies = req.Cookies.Without(names...)
 		invalidated = names
 		delete(w.cookieInvalid, req.ClientID)
 	}
@@ -302,23 +314,23 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 		Kind: history.KindAppRun,
 		Time: rec.Time,
 	}
-	payload := &RunPayload{Rec: rec, FileVersions: make(map[string]int)}
+	payload := &RunPayload{Rec: rec, FileVersions: w.fileVersionsOf(rec.FilesLoaded)}
 	if repaired != nil {
 		payload.Repaired = *repaired
 	}
 	runAct.Payload = payload
+	runAct.Inputs = make([]history.Dep, 0, len(rec.FilesLoaded)+2)
 	for _, f := range rec.FilesLoaded {
-		payload.FileVersions[f] = w.Runtime.FileVersion(f)
-		runAct.Inputs = append(runAct.Inputs, history.Dep{Node: history.FileNode(f), Time: rec.Time})
+		runAct.Inputs = append(runAct.Inputs, history.Dep{Node: w.fileNode(f), Time: rec.Time})
 	}
 	runAct.Inputs = append(runAct.Inputs, history.Dep{Node: httpNode, Time: rec.Time})
 	runAct.Outputs = append(runAct.Outputs, history.Dep{Node: httpNode, Time: rec.Time})
 	if rec.Req.ClientID != "" {
-		cookieNode := history.CookieNode(rec.Req.ClientID)
-		if len(rec.Req.Cookies) > 0 {
+		cookieNode := w.cookieNode(rec.Req.ClientID)
+		if rec.Req.Cookies.Len() > 0 {
 			runAct.Inputs = append(runAct.Inputs, history.Dep{Node: cookieNode, Time: rec.Time})
 		}
-		if rec.Resp != nil && (len(rec.Resp.SetCookies) > 0 || len(rec.Resp.ClearCookies) > 0) {
+		if rec.Resp != nil && (rec.Resp.SetCookies.Len() > 0 || len(rec.Resp.ClearCookies) > 0) {
 			runAct.Outputs = append(runAct.Outputs, history.Dep{Node: cookieNode, Time: rec.Time})
 		}
 	}
@@ -331,8 +343,14 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 			Time:    q.Time,
 			Payload: &QueryPayload{Rec: q, RunAction: runID, Repaired: payload.Repaired, run: payload},
 		}
+		if len(q.ReadPartitions) > 0 {
+			qa.Inputs = make([]history.Dep, 0, len(q.ReadPartitions))
+		}
 		for _, p := range q.ReadPartitions {
 			qa.Inputs = append(qa.Inputs, history.Dep{Node: w.partNode(p), Time: q.Time})
+		}
+		if len(q.WritePartitions) > 0 {
+			qa.Outputs = make([]history.Dep, 0, len(q.WritePartitions))
 		}
 		for _, p := range q.WritePartitions {
 			qa.Outputs = append(qa.Outputs, history.Dep{Node: w.partNode(p), Time: q.Time})
@@ -344,16 +362,65 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 	return runID
 }
 
-// partNode interns a partition node and indexes it by table.
+// partNode interns a partition node and indexes it by table. Caller
+// holds w.mu.
 func (w *Warp) partNode(p ttdb.Partition) history.NodeID {
-	node := history.PartitionNode(p.String())
-	byTable, ok := w.partsByTable[p.Table]
+	byTable, ok := w.partNodes[p.Table]
 	if !ok {
-		byTable = make(map[history.NodeID]bool)
-		w.partsByTable[p.Table] = byTable
+		byTable = make(map[ttdb.Partition]history.NodeID)
+		w.partNodes[p.Table] = byTable
 	}
-	byTable[node] = true
+	node, ok := byTable[p]
+	if !ok {
+		node = history.PartitionNode(p.String())
+		byTable[p] = node
+	}
 	return node
+}
+
+// fileNode interns a source file's node. Caller holds w.mu.
+func (w *Warp) fileNode(file string) history.NodeID {
+	node, ok := w.fileNodes[file]
+	if !ok {
+		node = history.FileNode(file)
+		w.fileNodes[file] = node
+	}
+	return node
+}
+
+// cookieNode interns a client's cookie node. Caller holds w.mu.
+func (w *Warp) cookieNode(clientID string) history.NodeID {
+	node, ok := w.cookieNodes[clientID]
+	if !ok {
+		node = history.CookieNode(clientID)
+		w.cookieNodes[clientID] = node
+	}
+	return node
+}
+
+// fileVersionsOf returns the shared FileVersions map for the current
+// versions of files. Caller holds w.mu.
+func (w *Warp) fileVersionsOf(files []string) map[string]int {
+	var buf [8]int
+	vers := buf[:0]
+	var key []byte
+	for _, f := range files {
+		v := w.Runtime.FileVersion(f)
+		vers = append(vers, v)
+		key = append(key, f...)
+		key = append(key, 0)
+		key = strconv.AppendInt(key, int64(v), 10)
+		key = append(key, 0)
+	}
+	if m, ok := w.fileVersionSets[string(key)]; ok {
+		return m
+	}
+	m := make(map[string]int, len(files))
+	for i, f := range files {
+		m[f] = vers[i]
+	}
+	w.fileVersionSets[string(key)] = m
+	return m
 }
 
 // UploadVisitLog receives a visit log from a client's browser extension

@@ -1218,12 +1218,12 @@ func (w *Warp) rebuildDerived() {
 			for _, d := range deps {
 				if name, ok := d.Node.PartitionName(); ok {
 					if p, ok := ttdb.ParsePartition(name); ok {
-						byTable := w.partsByTable[p.Table]
+						byTable := w.partNodes[p.Table]
 						if byTable == nil {
-							byTable = make(map[history.NodeID]bool)
-							w.partsByTable[p.Table] = byTable
+							byTable = make(map[ttdb.Partition]history.NodeID)
+							w.partNodes[p.Table] = byTable
 						}
-						byTable[d.Node] = true
+						byTable[p] = d.Node
 					}
 				}
 			}

@@ -41,9 +41,7 @@ func guestbookHandler(sanitize bool) app.Script {
 			fmt.Fprintf(&b, "<li>%s: %s</li>", row[0].AsText(), row[1].AsText())
 		}
 		b.WriteString("</ul></body></html>")
-		return &httpd.Response{Status: 200, Body: b.String(),
-			Headers:    map[string]string{"Content-Type": "text/html"},
-			SetCookies: map[string]string{}}
+		return httpd.HTML(b.String())
 	}
 }
 

@@ -505,17 +505,15 @@ func (rs *session) processVisit(it *workItem) error {
 	}
 	// The clone's cookie jar: the diverged replay jar if the client's
 	// timeline forked earlier, else the jar recorded at visit start (§5.3).
-	jar := rs.jarOverride[it.client]
+	jar, diverged := rs.jarOverride[it.client]
 	rs.mu.Unlock()
 	defer func() {
 		rs.mu.Lock()
 		delete(rs.activeVisit, key)
 		rs.mu.Unlock()
 	}()
-	if jar == nil {
-		jar = cloneJar(vlog.Cookies)
-	} else {
-		jar = cloneJar(jar)
+	if !diverged {
+		jar = vlog.Cookies
 	}
 
 	// The original main response body, for the UI-conflict hook.
@@ -546,11 +544,11 @@ func (rs *session) processVisit(it *workItem) error {
 	if it.hasNav {
 		req := rs.buildRequest(it.navMethod, it.navURL, it.navForm, it.client, it.visit, mainRequestID(vlog), jar)
 		mainResp = rs.repairTransport(req)
-		applyCookies(jar, mainResp)
-		for i := 0; i < 4 && mainResp.Status == 303 && mainResp.Headers["Location"] != ""; i++ {
-			req = rs.buildRequest("GET", mainResp.Headers["Location"], url.Values{}, it.client, it.visit, 0, jar)
+		jar = mainResp.ApplyCookies(jar)
+		for i := 0; i < 4 && mainResp.Status == 303 && mainResp.Headers.Get("Location") != ""; i++ {
+			req = rs.buildRequest("GET", mainResp.Headers.Get("Location"), url.Values{}, it.client, it.visit, 0, jar)
 			mainResp = rs.repairTransport(req)
-			applyCookies(jar, mainResp)
+			jar = mainResp.ApplyCookies(jar)
 		}
 	}
 
@@ -595,7 +593,7 @@ func (rs *session) processVisit(it *workItem) error {
 			// A navigation that never happened originally: execute it fresh.
 			req := rs.buildRequest(nav.Method, nav.URL, nav.Form, it.client, rs.freshVisitID(), 1, out.CookiesAfter)
 			resp := rs.repairTransport(req)
-			applyCookies(out.CookiesAfter, resp)
+			out.CookiesAfter = resp.ApplyCookies(out.CookiesAfter)
 			continue
 		}
 		usedChild[child.VisitID] = true
@@ -605,7 +603,7 @@ func (rs *session) processVisit(it *workItem) error {
 		if origAct != nil {
 			p := origAct.Payload.(*RunPayload)
 			prunable = req.Fingerprint() == p.Rec.Req.Fingerprint() && rs.runClean(p) &&
-				jarEqual(child.Cookies, out.CookiesAfter)
+				child.Cookies.Equal(out.CookiesAfter)
 		}
 		if prunable {
 			rs.tracef("  nav %s %s -> child %d pruned", nav.Method, nav.URL, child.VisitID)
@@ -642,7 +640,7 @@ func (rs *session) processVisit(it *workItem) error {
 // the end of the client's timeline the comparison is against the jar the
 // original execution ended with; a diverged final jar is queued for
 // cookie invalidation (§5.3).
-func (rs *session) trackCookieDivergence(client string, visitID int64, after map[string]string) {
+func (rs *session) trackCookieDivergence(client string, visitID int64, after httpd.Fields) {
 	rs.w.mu.Lock()
 	logs := rs.w.visitsOfClient(client)
 	var cur, next *browser.VisitLog
@@ -657,15 +655,15 @@ func (rs *session) trackCookieDivergence(client string, visitID int64, after map
 	}
 	rs.w.mu.Unlock()
 	if next == nil {
-		if cur != nil && jarEqual(rs.origJarAfter(cur), after) {
-			rs.setJarOverride(client, nil)
+		if cur != nil && rs.origJarAfter(cur).Equal(after) {
+			rs.clearJarOverride(client)
 		} else {
 			rs.setJarOverride(client, after)
 		}
 		return
 	}
-	if jarEqual(next.Cookies, after) {
-		rs.setJarOverride(client, nil)
+	if next.Cookies.Equal(after) {
+		rs.clearJarOverride(client)
 		return
 	}
 	rs.tracef("cookie divergence for %s after visit %d; queueing visit %d", client, visitID, next.VisitID)
@@ -673,44 +671,45 @@ func (rs *session) trackCookieDivergence(client string, visitID int64, after map
 	rs.enqueueVisit(next)
 }
 
-// setJarOverride installs (or, with a nil jar, clears) a client's diverged
-// replay cookie jar.
-func (rs *session) setJarOverride(client string, jar map[string]string) {
+// setJarOverride installs a client's diverged replay cookie jar.
+func (rs *session) setJarOverride(client string, jar httpd.Fields) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if jar == nil {
-		delete(rs.jarOverride, client)
-		return
-	}
 	rs.jarOverride[client] = jar
+}
+
+// clearJarOverride drops a client's diverged replay cookie jar: its
+// replayed timeline has rejoined the recorded one.
+func (rs *session) clearJarOverride(client string) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	delete(rs.jarOverride, client)
 }
 
 // origJarAfter reconstructs the cookie jar the client held after a visit
 // in the original timeline, from the visit's starting jar and its
 // responses' cookie changes.
-func (rs *session) origJarAfter(vlog *browser.VisitLog) map[string]string {
-	jar := cloneJar(vlog.Cookies)
+func (rs *session) origJarAfter(vlog *browser.VisitLog) httpd.Fields {
+	jar := vlog.Cookies
 	for _, tr := range vlog.Requests {
 		act := rs.origRunFor(history.HTTPNode(vlog.ClientID, vlog.VisitID, tr.RequestID))
 		if act == nil {
 			continue
 		}
 		if resp := act.Payload.(*RunPayload).Rec.Resp; resp != nil {
-			applyCookies(jar, resp)
+			jar = resp.ApplyCookies(jar)
 		}
 	}
 	return jar
 }
 
 // buildRequest assembles a replay-path HTTP request.
-func (rs *session) buildRequest(method, rawURL string, form url.Values, client string, visit, reqID int64, jar map[string]string) *httpd.Request {
+func (rs *session) buildRequest(method, rawURL string, form url.Values, client string, visit, reqID int64, jar httpd.Fields) *httpd.Request {
 	req := httpd.NewRequest(method, rawURL)
 	if form != nil {
 		req.Form = form
 	}
-	for k, v := range jar {
-		req.Cookies[k] = v
-	}
+	req.Cookies = jar
 	req.ClientID = client
 	req.VisitID = visit
 	req.RequestID = reqID
@@ -751,35 +750,6 @@ func matchChild(children []*browser.VisitLog, used map[int64]bool, nav browser.N
 		}
 	}
 	return nil
-}
-
-func cloneJar(in map[string]string) map[string]string {
-	out := make(map[string]string, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}
-
-func jarEqual(a, b map[string]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-func applyCookies(jar map[string]string, resp *httpd.Response) {
-	for k, v := range resp.SetCookies {
-		jar[k] = v
-	}
-	for _, k := range resp.ClearCookies {
-		delete(jar, k)
-	}
 }
 
 //

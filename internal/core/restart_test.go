@@ -60,7 +60,7 @@ func TestLoginSurvivesRestart(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("first login failed: %d %s", resp.Status, resp.Body)
 	}
-	firstSid := resp.SetCookies["sid"]
+	firstSid := resp.SetCookies.Get("sid")
 	if firstSid == "" {
 		t.Fatal("no sid issued")
 	}
@@ -78,7 +78,7 @@ func TestLoginSurvivesRestart(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("post-restart login failed: %d %s (seeded token stream replayed from the start?)", resp.Status, resp.Body)
 	}
-	if got := resp.SetCookies["sid"]; got == firstSid {
+	if got := resp.SetCookies.Get("sid"); got == firstSid {
 		t.Fatalf("post-restart login re-issued recovered sid %q", got)
 	}
 	// Both sessions are live.
@@ -108,7 +108,7 @@ func TestRNGCursorsSurviveCrash(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("first login failed: %d %s", resp.Status, resp.Body)
 	}
-	firstSid := resp.SetCookies["sid"]
+	firstSid := resp.SetCookies.Get("sid")
 	firstClient := w.NewBrowser().ClientID
 	w.Crash() // hard crash: WAL tail only, no checkpoint
 
@@ -125,7 +125,7 @@ func TestRNGCursorsSurviveCrash(t *testing.T) {
 	if resp.Status != 200 {
 		t.Fatalf("post-crash login failed: %d %s (cursor WAL records not replayed?)", resp.Status, resp.Body)
 	}
-	if got := resp.SetCookies["sid"]; got == firstSid {
+	if got := resp.SetCookies.Get("sid"); got == firstSid {
 		t.Fatalf("post-crash login re-issued recovered sid %q", got)
 	}
 	if got := w2.NewBrowser().ClientID; got == firstClient {

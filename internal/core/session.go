@@ -45,7 +45,7 @@ type session struct {
 	served      map[history.NodeID]*servedEntry
 	activeVisit map[string]bool
 
-	jarOverride map[string]map[string]string // diverged replay cookie jars
+	jarOverride map[string]httpd.Fields // diverged replay cookie jars
 
 	// navOverrides remembers, per child visit, the parent's latest
 	// re-derived main request (e.g. a merged form), so a later standalone
@@ -128,7 +128,7 @@ func (w *Warp) newSession(gen int64) *session {
 		origRuns:     make(map[history.NodeID]history.ActionID),
 		served:       make(map[history.NodeID]*servedEntry),
 		activeVisit:  make(map[string]bool),
-		jarOverride:  make(map[string]map[string]string),
+		jarOverride:  make(map[string]httpd.Fields),
 		navOverrides: make(map[string]*workItem),
 		doneVisits:   make(map[string]bool),
 		doneRuns:     make(map[history.ActionID]bool),
@@ -224,7 +224,7 @@ func (rs *session) partitionNodes(p ttdb.Partition) []history.NodeID {
 	rs.w.mu.Lock()
 	if p.IsWholeTable() {
 		// Whole-table dirt touches every partition of the table.
-		for n := range rs.w.partsByTable[p.Table] {
+		for _, n := range rs.w.partNodes[p.Table] {
 			add(n)
 		}
 	} else {
@@ -638,12 +638,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	w.mu.Lock()
 	w.conflicts = append(w.conflicts, rs.conflicts...)
 	for client, jar := range rs.jarOverride {
-		var names []string
-		for name := range jar {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		w.cookieInvalid[client] = names
+		w.cookieInvalid[client] = jar.Names()
 	}
 	w.mu.Unlock()
 

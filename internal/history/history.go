@@ -18,6 +18,7 @@ package history
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -66,7 +67,7 @@ func wholeTableNode(table string) NodeID { return PartitionNode(table + "/*") }
 // HTTPNode returns the node for one HTTP exchange, identified by the
 // browser-assigned ⟨client, visit, request⟩ tuple (§5.1).
 func HTTPNode(clientID string, visitID, requestID int64) NodeID {
-	return NodeID(fmt.Sprintf("http:%s/%d/%d", clientID, visitID, requestID))
+	return NodeID("http:" + clientID + "/" + strconv.FormatInt(visitID, 10) + "/" + strconv.FormatInt(requestID, 10))
 }
 
 // VisitNode returns the node for a browser page visit.
@@ -144,16 +145,22 @@ type Observer interface {
 
 // Graph is the action history graph. It is safe for concurrent use.
 type Graph struct {
-	mu      sync.RWMutex
-	actions map[ActionID]*Action
-	order   []ActionID // in append (≈ time) order
+	mu sync.RWMutex
+	// actions holds each live action at index ID-base. IDs are assigned
+	// in append order and recovery restores them in that order, so this
+	// is also the append (≈ time) order; collected actions leave nil
+	// holes, and live counts the rest.
+	actions []*Action
+	base    ActionID
+	live    int
 	nextID  ActionID
 	obs     Observer
 
 	// Per-node indexes: actions that read from / wrote to a node, in
-	// append order.
+	// append order. nodes counts the distinct nodes of both.
 	readers map[NodeID][]ActionID
 	writers map[NodeID][]ActionID
+	nodes   int
 
 	// loadedNodes counts distinct nodes touched by repair-time lookups,
 	// approximating the paper's incremental graph loading cost metric.
@@ -177,13 +184,74 @@ type Graph struct {
 // New returns an empty graph.
 func New() *Graph {
 	return &Graph{
-		actions:     make(map[ActionID]*Action),
+		base:        1,
 		readers:     make(map[NodeID][]ActionID),
 		writers:     make(map[NodeID][]ActionID),
 		loadedNodes: make(map[NodeID]bool),
 		tableNodes:  make(map[string]map[NodeID]bool),
 		nextID:      1,
 	}
+}
+
+// get returns the live action with the given ID, or nil. Caller holds
+// g.mu.
+func (g *Graph) get(id ActionID) *Action {
+	if id < g.base || id-g.base >= ActionID(len(g.actions)) {
+		return nil
+	}
+	return g.actions[id-g.base]
+}
+
+// put stores a at its ID's slot. Caller holds g.mu.
+func (g *Graph) put(a *Action) {
+	if len(g.actions) == 0 {
+		g.base = a.ID
+	}
+	if a.ID < g.base {
+		grown := make([]*Action, int(g.base-a.ID)+len(g.actions))
+		copy(grown[g.base-a.ID:], g.actions)
+		g.actions, g.base = grown, a.ID
+	}
+	i := int(a.ID - g.base)
+	for len(g.actions) < i {
+		g.actions = append(g.actions, nil)
+	}
+	if i == len(g.actions) {
+		g.actions = append(g.actions, a)
+	} else {
+		g.actions[i] = a
+	}
+	g.live++
+}
+
+// index adds an action's edges to the per-node indexes. Caller holds
+// g.mu.
+func (g *Graph) index(id ActionID, inputs, outputs []Dep) {
+	for _, d := range inputs {
+		g.addPosting(g.readers, g.writers, d.Node, id)
+	}
+	for _, d := range outputs {
+		g.addPosting(g.writers, g.readers, d.Node, id)
+	}
+}
+
+// addPosting appends id to node n's list in index; other is the
+// opposite-direction index, consulted to count distinct nodes.
+func (g *Graph) addPosting(index, other map[NodeID][]ActionID, n NodeID, id ActionID) {
+	ids, ok := index[n]
+	if !ok {
+		if _, seen := other[n]; !seen {
+			g.nodes++
+		}
+		g.indexPartitionNode(n)
+	}
+	index[n] = append(ids, id)
+}
+
+// publishSize updates the history size gauges. Caller holds g.mu.
+func (g *Graph) publishSize() {
+	historyActions.Set(int64(g.live))
+	historyNodes.Set(int64(g.nodes))
 }
 
 // indexPartitionNode records a partition node in the per-table index.
@@ -243,16 +311,9 @@ func (g *Graph) Append(a *Action) ActionID {
 	g.muts++
 	a.ID = g.nextID
 	g.nextID++
-	g.actions[a.ID] = a
-	g.order = append(g.order, a.ID)
-	for _, d := range a.Inputs {
-		g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
-	for _, d := range a.Outputs {
-		g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
+	g.put(a)
+	g.index(a.ID, a.Inputs, a.Outputs)
+	g.publishSize()
 	if g.obs != nil {
 		g.obs.ActionAppended(a)
 	}
@@ -269,20 +330,13 @@ func (g *Graph) RestoreAction(a *Action) error {
 	if a.ID <= 0 {
 		return fmt.Errorf("history: restore of action without ID")
 	}
-	if _, exists := g.actions[a.ID]; exists {
+	if g.get(a.ID) != nil {
 		return fmt.Errorf("history: restore of duplicate action %d", a.ID)
 	}
 	g.muts++
-	g.actions[a.ID] = a
-	g.order = append(g.order, a.ID)
-	for _, d := range a.Inputs {
-		g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
-	for _, d := range a.Outputs {
-		g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-		g.indexPartitionNode(d.Node)
-	}
+	g.put(a)
+	g.index(a.ID, a.Inputs, a.Outputs)
+	g.publishSize()
 	if a.ID >= g.nextID {
 		g.nextID = a.ID + 1
 	}
@@ -293,7 +347,7 @@ func (g *Graph) RestoreAction(a *Action) error {
 func (g *Graph) Get(id ActionID) *Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.actions[id]
+	return g.get(id)
 }
 
 // AddDeps extends an existing action with additional dependencies,
@@ -302,7 +356,7 @@ func (g *Graph) Get(id ActionID) *Action {
 func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return
 	}
@@ -314,8 +368,7 @@ func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 	for _, d := range inputs {
 		if !have[d] {
 			a.Inputs = append(a.Inputs, d)
-			g.readers[d.Node] = append(g.readers[d.Node], id)
-			g.indexPartitionNode(d.Node)
+			g.addPosting(g.readers, g.writers, d.Node, id)
 		}
 	}
 	have = make(map[Dep]bool, len(a.Outputs))
@@ -325,10 +378,10 @@ func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 	for _, d := range outputs {
 		if !have[d] {
 			a.Outputs = append(a.Outputs, d)
-			g.writers[d.Node] = append(g.writers[d.Node], id)
-			g.indexPartitionNode(d.Node)
+			g.addPosting(g.writers, g.readers, d.Node, id)
 		}
 	}
+	g.publishSize()
 }
 
 // DepsOf returns copies of an action's input and output dependency edges.
@@ -339,7 +392,7 @@ func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 func (g *Graph) DepsOf(id ActionID) (inputs, outputs []Dep) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return nil, nil
 	}
@@ -368,7 +421,7 @@ func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var pd PartitionDeps
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return pd
 	}
@@ -395,7 +448,7 @@ func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
 func (g *Graph) Deps(id ActionID) []ActionID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return nil
 	}
@@ -404,7 +457,7 @@ func (g *Graph) Deps(id ActionID) []ActionID {
 	for _, d := range a.Inputs {
 		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
 			for _, wid := range g.writers[node] {
-				w := g.actions[wid]
+				w := g.get(wid)
 				if w == nil || wid == id || seen[wid] || w.Time > a.Time {
 					continue
 				}
@@ -425,7 +478,7 @@ func (g *Graph) Deps(id ActionID) []ActionID {
 func (g *Graph) Dependents(id ActionID) []ActionID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	a := g.actions[id]
+	a := g.get(id)
 	if a == nil {
 		return nil
 	}
@@ -434,7 +487,7 @@ func (g *Graph) Dependents(id ActionID) []ActionID {
 	for _, d := range a.Outputs {
 		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
 			for _, rid := range g.readers[node] {
-				r := g.actions[rid]
+				r := g.get(rid)
 				if r == nil || rid == id || seen[rid] || r.Time < a.Time {
 					continue
 				}
@@ -464,7 +517,7 @@ func sortedIDs(acts []*Action) []ActionID {
 func (g *Graph) Len() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.actions)
+	return g.live
 }
 
 // Readers returns the actions with an input dependency on node at or after
@@ -485,7 +538,7 @@ func (g *Graph) lookup(index map[NodeID][]ActionID, node NodeID, fromTime int64)
 	ids := index[node]
 	out := make([]*Action, 0, len(ids))
 	for _, id := range ids {
-		a := g.actions[id]
+		a := g.get(id)
 		if a != nil && a.Time >= fromTime {
 			out = append(out, a)
 		}
@@ -502,8 +555,7 @@ func (g *Graph) ByKind(k Kind) []*Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	var out []*Action
-	for _, id := range g.order {
-		a := g.actions[id]
+	for _, a := range g.actions {
 		if a != nil && a.Kind == k {
 			out = append(out, a)
 		}
@@ -515,9 +567,9 @@ func (g *Graph) ByKind(k Kind) []*Action {
 func (g *Graph) All() []*Action {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]*Action, 0, len(g.order))
-	for _, id := range g.order {
-		if a := g.actions[id]; a != nil {
+	out := make([]*Action, 0, g.live)
+	for _, a := range g.actions {
+		if a != nil {
 			out = append(out, a)
 		}
 	}
@@ -546,37 +598,33 @@ func (g *Graph) GC(beforeTime int64) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	removed := 0
-	keep := g.order[:0]
-	for _, id := range g.order {
-		a := g.actions[id]
-		if a == nil {
-			continue
-		}
-		if a.Time < beforeTime {
-			delete(g.actions, id)
+	for i, a := range g.actions {
+		if a != nil && a.Time < beforeTime {
+			g.actions[i] = nil
 			removed++
-			continue
 		}
-		keep = append(keep, id)
 	}
-	g.order = keep
 	if removed > 0 {
+		g.live -= removed
 		g.muts++
+		// Drop the leading holes, releasing their backing array.
+		first := 0
+		for first < len(g.actions) && g.actions[first] == nil {
+			first++
+		}
+		g.actions = append([]*Action(nil), g.actions[first:]...)
+		g.base += ActionID(first)
 		// Rebuild indexes without the dead actions.
 		g.readers = make(map[NodeID][]ActionID)
 		g.writers = make(map[NodeID][]ActionID)
 		g.tableNodes = make(map[string]map[NodeID]bool)
-		for _, id := range g.order {
-			a := g.actions[id]
-			for _, d := range a.Inputs {
-				g.readers[d.Node] = append(g.readers[d.Node], a.ID)
-				g.indexPartitionNode(d.Node)
-			}
-			for _, d := range a.Outputs {
-				g.writers[d.Node] = append(g.writers[d.Node], a.ID)
-				g.indexPartitionNode(d.Node)
+		g.nodes = 0
+		for _, a := range g.actions {
+			if a != nil {
+				g.index(a.ID, a.Inputs, a.Outputs)
 			}
 		}
+		g.publishSize()
 	}
 	if removed > 0 && g.obs != nil {
 		g.obs.GraphCollected(beforeTime)
@@ -600,6 +648,9 @@ func (g *Graph) ApproxBytes(sizer func(payload any) int) int {
 	defer g.mu.RUnlock()
 	n := 0
 	for _, a := range g.actions {
+		if a == nil {
+			continue
+		}
 		n += 16 // id + time
 		for _, d := range a.Inputs {
 			n += len(d.Node) + 8

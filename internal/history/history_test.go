@@ -95,6 +95,58 @@ func TestGC(t *testing.T) {
 	}
 }
 
+// TestSizeGauges checks warp_history_actions and warp_history_nodes
+// through appends, dependency extension, GC and recovery restores.
+func TestSizeGauges(t *testing.T) {
+	check := func(step string, actions, nodes int64) {
+		t.Helper()
+		if got := historyActions.Value(); got != actions {
+			t.Errorf("%s: warp_history_actions = %d, want %d", step, got, actions)
+		}
+		if got := historyNodes.Value(); got != nodes {
+			t.Errorf("%s: warp_history_nodes = %d, want %d", step, got, nodes)
+		}
+	}
+	g := New()
+	http1, http2 := HTTPNode("c", 1, 1), HTTPNode("c", 1, 2)
+	run1 := &Action{Kind: KindAppRun, Time: 1,
+		Inputs: []Dep{{Node: FileNode("a.php"), Time: 1}, {Node: http1, Time: 1}}, Outputs: []Dep{{Node: http1, Time: 1}}}
+	q1 := &Action{Kind: KindQuery, Time: 2, Inputs: []Dep{{Node: "part:t/*", Time: 2}}}
+	run2 := &Action{Kind: KindAppRun, Time: 3,
+		Inputs: []Dep{{Node: FileNode("a.php"), Time: 3}, {Node: http2, Time: 3}}, Outputs: []Dep{{Node: http2, Time: 3}}}
+	g.Append(run1)
+	g.Append(q1)
+	g.Append(run2)
+	check("append", 3, 4)
+	g.AddDeps(q1.ID, nil, []Dep{{Node: "part:t/*", Time: 2}, {Node: "part:u/*", Time: 2}})
+	check("add deps", 3, 5)
+	g.GC(3)
+	check("gc", 1, 2)
+
+	// Restores keep their IDs: out of order and with gaps, the graph
+	// still lists actions in ID (original append) order.
+	r := New()
+	for _, id := range []ActionID{5, 7, 3} {
+		if err := r.RestoreAction(&Action{ID: id, Kind: KindQuery, Time: int64(id), Inputs: []Dep{{Node: "part:t/*", Time: int64(id)}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("restore", 3, 1)
+	if err := r.RestoreAction(&Action{ID: 5, Kind: KindQuery}); err == nil {
+		t.Fatal("duplicate restore accepted")
+	}
+	var ids []ActionID
+	for _, a := range r.All() {
+		ids = append(ids, a.ID)
+	}
+	if fmt.Sprint(ids) != "[3 5 7]" || r.Get(4) != nil || r.Get(7) == nil || r.Len() != 3 {
+		t.Fatalf("restored graph lists %v (len %d)", ids, r.Len())
+	}
+	if id := r.Append(&Action{Kind: KindQuery, Time: 9}); id != 8 {
+		t.Fatalf("append after restore got ID %d, want 8", id)
+	}
+}
+
 func TestLoadedNodesAccounting(t *testing.T) {
 	g := New()
 	g.Append(&Action{Kind: KindQuery, Time: 1, Inputs: []Dep{{Node: "part:a", Time: 1}}})

@@ -20,21 +20,25 @@ func (a *Adapter) ServeHTTP(w http.ResponseWriter, hr *http.Request) {
 	if err := hr.ParseForm(); err == nil {
 		req.Form = hr.PostForm
 	}
+	var kv []string
 	for _, c := range hr.Cookies() {
-		req.Cookies[c.Name] = c.Value
+		kv = append(kv, c.Name, c.Value)
 	}
+	req.Cookies = NewFields(kv...)
+	kv = kv[:0]
 	for k := range hr.Header {
-		req.Headers[k] = hr.Header.Get(k)
+		kv = append(kv, k, hr.Header.Get(k))
 	}
+	req.Headers = NewFields(kv...)
 	req.ClientID = hr.Header.Get(HeaderClientID)
 	req.VisitID, _ = strconv.ParseInt(hr.Header.Get(HeaderVisitID), 10, 64)
 	req.RequestID, _ = strconv.ParseInt(hr.Header.Get(HeaderRequestID), 10, 64)
 
 	resp := a.Handler(req)
-	for k, v := range resp.Headers {
+	for k, v := range resp.Headers.All() {
 		w.Header().Set(k, v)
 	}
-	for name, val := range resp.SetCookies {
+	for name, val := range resp.SetCookies.All() {
 		http.SetCookie(w, &http.Cookie{Name: name, Value: val, Path: "/"})
 	}
 	for _, name := range resp.ClearCookies {

@@ -12,14 +12,16 @@
 package httpd
 
 import (
-	"fmt"
 	"hash/fnv"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 )
 
 // WARP extension header names, as sent by the browser extension (§5.1).
+// Adapter reads them off the wire into Request's ClientID, VisitID and
+// RequestID; in-process clients set those fields directly.
 const (
 	HeaderClientID  = "X-Warp-Client-Id"
 	HeaderVisitID   = "X-Warp-Visit-Id"
@@ -28,12 +30,15 @@ const (
 
 // Request is one HTTP request as seen by the server.
 type Request struct {
-	Method  string // GET or POST
-	Path    string // e.g. "/index.php"
-	Query   url.Values
-	Form    url.Values // POST form fields
-	Cookies map[string]string
-	Headers map[string]string
+	Method string // GET or POST
+	Path   string // e.g. "/index.php"
+	Query  url.Values
+	Form   url.Values // POST form fields
+	// Cookies is usually the sending browser's whole jar, shared with
+	// the browser and its visit log rather than copied (Fields is
+	// immutable).
+	Cookies Fields
+	Headers Fields
 
 	// WARP browser extension identifiers (§5.1). ClientID is empty for
 	// clients without the extension.
@@ -46,12 +51,10 @@ type Request struct {
 func NewRequest(method, rawURL string) *Request {
 	path, q := SplitURL(rawURL)
 	return &Request{
-		Method:  method,
-		Path:    path,
-		Query:   q,
-		Form:    url.Values{},
-		Cookies: map[string]string{},
-		Headers: map[string]string{},
+		Method: method,
+		Path:   path,
+		Query:  q,
+		Form:   url.Values{},
 	}
 }
 
@@ -86,17 +89,18 @@ func (r *Request) Param(name string) string {
 }
 
 // Cookie returns a cookie value, or "".
-func (r *Request) Cookie(name string) string { return r.Cookies[name] }
+func (r *Request) Cookie(name string) string { return r.Cookies.Get(name) }
 
-// Clone returns a deep copy of the request.
+// Clone returns a copy of the request that shares nothing mutable with
+// it (its cookie and header sets are immutable).
 func (r *Request) Clone() *Request {
 	c := &Request{
 		Method:    r.Method,
 		Path:      r.Path,
 		Query:     url.Values{},
 		Form:      url.Values{},
-		Cookies:   map[string]string{},
-		Headers:   map[string]string{},
+		Cookies:   r.Cookies,
+		Headers:   r.Headers,
 		ClientID:  r.ClientID,
 		VisitID:   r.VisitID,
 		RequestID: r.RequestID,
@@ -106,12 +110,6 @@ func (r *Request) Clone() *Request {
 	}
 	for k, vs := range r.Form {
 		c.Form[k] = append([]string{}, vs...)
-	}
-	for k, v := range r.Cookies {
-		c.Cookies[k] = v
-	}
-	for k, v := range r.Headers {
-		c.Headers[k] = v
 	}
 	return c
 }
@@ -130,14 +128,9 @@ func (r *Request) Fingerprint() uint64 {
 	write(r.Path)
 	write(r.Query.Encode())
 	write(r.Form.Encode())
-	keys := make([]string, 0, len(r.Cookies))
-	for k := range r.Cookies {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+	for k, v := range r.Cookies.All() {
 		write(k)
-		write(r.Cookies[k])
+		write(v)
 	}
 	return h.Sum64()
 }
@@ -146,10 +139,10 @@ func (r *Request) Fingerprint() uint64 {
 // accounting).
 func (r *Request) ApproxBytes() int {
 	n := len(r.Method) + len(r.Path) + len(r.Query.Encode()) + len(r.Form.Encode()) + len(r.ClientID) + 16
-	for k, v := range r.Cookies {
+	for k, v := range r.Cookies.All() {
 		n += len(k) + len(v)
 	}
-	for k, v := range r.Headers {
+	for k, v := range r.Headers.All() {
 		n += len(k) + len(v)
 	}
 	return n
@@ -157,35 +150,34 @@ func (r *Request) ApproxBytes() int {
 
 // Response is one HTTP response.
 type Response struct {
-	Status  int
-	Body    string
-	Headers map[string]string
+	Status int
+	Body   string
+	// Headers is shared by every HTML response until one sets a header of
+	// its own (Fields is immutable).
+	Headers Fields
 	// SetCookies are cookies to set; ClearCookies are cookie names to
 	// delete. WARP watches these to track the cookie dependency channel
 	// (§5.3).
-	SetCookies   map[string]string
+	SetCookies   Fields
 	ClearCookies []string
 }
 
+// htmlHeaders is the header set of every HTML response.
+var htmlHeaders = NewFields("Content-Type", "text/html")
+
 // NewResponse returns an empty 200 response.
 func NewResponse() *Response {
-	return &Response{Status: 200, Headers: map[string]string{}, SetCookies: map[string]string{}}
+	return &Response{Status: 200}
 }
 
 // HTML builds a 200 text/html response.
 func HTML(body string) *Response {
-	r := NewResponse()
-	r.Headers["Content-Type"] = "text/html"
-	r.Body = body
-	return r
+	return &Response{Status: 200, Body: body, Headers: htmlHeaders}
 }
 
 // Redirect builds a 303 redirect.
 func Redirect(location string) *Response {
-	r := NewResponse()
-	r.Status = 303
-	r.Headers["Location"] = location
-	return r
+	return &Response{Status: 303, Headers: NewFields("Location", location)}
 }
 
 // NotFound builds a 404 response.
@@ -204,9 +196,14 @@ func ServerError(msg string) *Response {
 	return r
 }
 
+// SetHeader sets a response header.
+func (r *Response) SetHeader(name, value string) {
+	r.Headers = r.Headers.With(name, value)
+}
+
 // SetCookie records a Set-Cookie on the response.
 func (r *Response) SetCookie(name, value string) {
-	r.SetCookies[name] = value
+	r.SetCookies = r.SetCookies.With(name, value)
 }
 
 // ClearCookie records a cookie deletion on the response.
@@ -223,25 +220,15 @@ func (r *Response) Fingerprint() uint64 {
 		h.Write([]byte(s))
 		h.Write([]byte{0})
 	}
-	write(fmt.Sprintf("%d", r.Status))
+	write(strconv.Itoa(r.Status))
 	write(r.Body)
-	hk := make([]string, 0, len(r.Headers))
-	for k := range r.Headers {
-		hk = append(hk, k)
-	}
-	sort.Strings(hk)
-	for _, k := range hk {
+	for k, v := range r.Headers.All() {
 		write(k)
-		write(r.Headers[k])
+		write(v)
 	}
-	ck := make([]string, 0, len(r.SetCookies))
-	for k := range r.SetCookies {
-		ck = append(ck, k)
-	}
-	sort.Strings(ck)
-	for _, k := range ck {
+	for k, v := range r.SetCookies.All() {
 		write(k)
-		write(r.SetCookies[k])
+		write(v)
 	}
 	cc := append([]string{}, r.ClearCookies...)
 	sort.Strings(cc)
@@ -254,10 +241,10 @@ func (r *Response) Fingerprint() uint64 {
 // ApproxBytes estimates the logged size of the response.
 func (r *Response) ApproxBytes() int {
 	n := len(r.Body) + 8
-	for k, v := range r.Headers {
+	for k, v := range r.Headers.All() {
 		n += len(k) + len(v)
 	}
-	for k, v := range r.SetCookies {
+	for k, v := range r.SetCookies.All() {
 		n += len(k) + len(v)
 	}
 	for _, k := range r.ClearCookies {
@@ -266,15 +253,20 @@ func (r *Response) ApproxBytes() int {
 	return n
 }
 
-// Clone returns a deep copy of the response.
+// Clone returns a copy of the response that shares nothing mutable with
+// it (its header and cookie sets are immutable).
 func (r *Response) Clone() *Response {
-	c := &Response{Status: r.Status, Body: r.Body, Headers: map[string]string{}, SetCookies: map[string]string{}}
-	for k, v := range r.Headers {
-		c.Headers[k] = v
+	c := *r
+	c.ClearCookies = append([]string(nil), r.ClearCookies...)
+	return &c
+}
+
+// ApplyCookies returns jar after the response's cookie changes: its
+// Set-Cookies, then its deletions. jar itself is unchanged, and is
+// returned as is when the response changes no cookie.
+func (r *Response) ApplyCookies(jar Fields) Fields {
+	for k, v := range r.SetCookies.All() {
+		jar = jar.With(k, v)
 	}
-	for k, v := range r.SetCookies {
-		c.SetCookies[k] = v
-	}
-	c.ClearCookies = append(c.ClearCookies, r.ClearCookies...)
-	return c
+	return jar.Without(r.ClearCookies...)
 }

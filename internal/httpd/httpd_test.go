@@ -33,7 +33,7 @@ func TestSplitURLAndParams(t *testing.T) {
 
 func TestRequestFingerprintSensitivity(t *testing.T) {
 	base := NewRequest("GET", "/a?x=1")
-	base.Cookies["sid"] = "s1"
+	base.Cookies = NewFields("sid", "s1")
 	same := base.Clone()
 	if base.Fingerprint() != same.Fingerprint() {
 		t.Fatal("clone must fingerprint equal")
@@ -43,7 +43,7 @@ func TestRequestFingerprintSensitivity(t *testing.T) {
 		func(r *Request) { r.Path = "/b" },
 		func(r *Request) { r.Query.Set("x", "2") },
 		func(r *Request) { r.Form.Set("y", "3") },
-		func(r *Request) { r.Cookies["sid"] = "s2" },
+		func(r *Request) { r.Cookies = r.Cookies.With("sid", "s2") },
 	} {
 		m := base.Clone()
 		mutate(m)
@@ -68,7 +68,7 @@ func TestResponseFingerprintSensitivity(t *testing.T) {
 	for _, mutate := range []func(r *Response){
 		func(r *Response) { r.Status = 404 },
 		func(r *Response) { r.Body = "other" },
-		func(r *Response) { r.Headers["X-Frame-Options"] = "DENY" },
+		func(r *Response) { r.SetHeader("X-Frame-Options", "DENY") },
 		func(r *Response) { r.SetCookie("sid", "x") },
 		func(r *Response) { r.ClearCookie("sid") },
 	} {
@@ -82,15 +82,15 @@ func TestResponseFingerprintSensitivity(t *testing.T) {
 
 func TestResponseHelpers(t *testing.T) {
 	r := Redirect("/next")
-	if r.Status != 303 || r.Headers["Location"] != "/next" {
+	if r.Status != 303 || r.Headers.Get("Location") != "/next" {
 		t.Fatalf("redirect: %+v", r)
 	}
 	if NotFound("x").Status != 404 || ServerError("y").Status != 500 {
 		t.Fatal("status helpers broken")
 	}
 	c := r.Clone()
-	c.Headers["Location"] = "/other"
-	if r.Headers["Location"] != "/next" {
+	c.SetHeader("Location", "/other")
+	if r.Headers.Get("Location") != "/next" {
 		t.Fatal("clone shares headers")
 	}
 }
@@ -142,5 +142,48 @@ func TestAdapterRoundTrip(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("set-cookie not adapted: %v", resp.Cookies())
+	}
+}
+
+// TestFields checks the immutable set every header and cookie map is
+// kept in: construction sorts and de-duplicates, and With, Without and
+// ApplyCookies return new sets while the original keeps its contents.
+func TestFields(t *testing.T) {
+	f := NewFields("sid", "a", "lang", "en", "sid", "b")
+	if got := strings.Join(f.Names(), ","); got != "lang,sid" || f.Get("sid") != "b" || f.Len() != 2 {
+		t.Fatalf("NewFields: names %s, sid=%q", got, f.Get("sid"))
+	}
+	g := f.With("csrf", "t").With("sid", "c")
+	h := f.Without("lang", "absent")
+	if f.Get("sid") != "b" || f.Get("csrf") != "" || f.Get("lang") != "en" {
+		t.Fatalf("With/Without changed the receiver: %v", f.Map())
+	}
+	if got := strings.Join(g.Names(), ","); got != "csrf,lang,sid" || g.Get("sid") != "c" {
+		t.Fatalf("With: %v", g.Map())
+	}
+	if h.Len() != 1 || h.Get("sid") != "b" {
+		t.Fatalf("Without: %v", h.Map())
+	}
+	if !f.Without("absent").Equal(f) || f.With("sid", "b") != f || f.Without("absent") != f {
+		t.Fatal("no-op edits must return the receiver")
+	}
+	if !h.Without("sid").Equal(Fields{}) || (Fields{}).Len() != 0 {
+		t.Fatal("emptied set is not the empty set")
+	}
+	m := f.Map()
+	m["sid"] = "x"
+	if f.Get("sid") != "b" {
+		t.Fatal("Map must return a copy")
+	}
+
+	resp := HTML("x")
+	resp.SetCookie("sid", "new")
+	resp.ClearCookie("lang")
+	jar := resp.ApplyCookies(f)
+	if jar.Get("sid") != "new" || jar.Get("lang") != "" || f.Get("sid") != "b" || f.Get("lang") != "en" {
+		t.Fatalf("ApplyCookies: jar %v, original %v", jar.Map(), f.Map())
+	}
+	if HTML("y").ApplyCookies(f) != f {
+		t.Fatal("a response without cookie changes must leave the jar as is")
 	}
 }

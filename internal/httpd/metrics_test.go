@@ -115,6 +115,8 @@ func TestMetricsEndpointParses(t *testing.T) {
 		"warp_core_request_seconds_count",
 		"warp_sqldb_exec_seconds_bucket",
 		"warp_sqldb_exec_seconds_count",
+		"warp_history_actions",
+		"warp_history_nodes",
 	} {
 		if !names[want] {
 			t.Errorf("exposition is missing series %s", want)

@@ -12,6 +12,8 @@ import (
 // writes with RETURNING) Columns and Rows are populated; for writes,
 // Affected counts the rows inserted, updated, or deleted.
 type Result struct {
+	// Columns is read-only: a SELECT's result shares it with the cached
+	// plan of its statement.
 	Columns []string
 	Rows    [][]Value
 	// Affected is the number of rows the statement wrote.
@@ -678,7 +680,8 @@ func (db *DB) runSelect(t *Table, s *Select, p *selectPlan, params []Value) (*Re
 	} else {
 		res = &Result{}
 	}
-	res.Columns = append([]string(nil), p.columns...)
+	// Shared with the cached plan, capped so an append copies.
+	res.Columns = p.columns[:len(p.columns):len(p.columns)]
 
 	// ORDER BY: evaluate sort keys per row, stable sort by scan order —
 	// unless the index walk already delivered the slots in order.

@@ -153,7 +153,7 @@ func (a *App) commonV2() Common {
 	return Common{
 		Layout: layout,
 		Decorate: func(r *httpd.Response) *httpd.Response {
-			r.Headers["X-Frame-Options"] = "DENY"
+			r.SetHeader("X-Frame-Options", "DENY")
 			return r
 		},
 		Sanitize: dom.Escape,

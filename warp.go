@@ -142,7 +142,13 @@ type (
 	Request = httpd.Request
 	// Response is an HTTP response.
 	Response = httpd.Response
+	// Fields is the immutable header and cookie set of a Request or
+	// Response.
+	Fields = httpd.Fields
 )
+
+// HTML builds a 200 text/html response.
+var HTML = httpd.HTML
 
 // Value constructors, re-exported for application code.
 var (
