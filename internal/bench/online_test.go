@@ -174,11 +174,20 @@ func editHandler(patched bool, delay time.Duration) app.Script {
 // user's edit. Timing-dependent (the update must land before the final
 // commit window), so the run retries a few times and requires the merge
 // to land at least once.
+//
+// The live UPDATE and the live read after it re-execute in the repair
+// generation; once they have, nothing else changes, so the commit
+// window must converge within two passes (the run re-execution, then a
+// re-check that queues nothing).
 func TestOnlineRepairMergesLiveWrite(t *testing.T) {
 	const want = "line1-patched\nline2\nline3-user"
 	var got string
 	for attempt := 0; attempt < 5; attempt++ {
-		got = mergeRun(t)
+		var rep *core.Report
+		got, rep = mergeRun(t)
+		if rep.CommitPasses > 2 {
+			t.Fatalf("commit window drained %d passes, want at most 2", rep.CommitPasses)
+		}
 		if got == want {
 			return
 		}
@@ -187,7 +196,7 @@ func TestOnlineRepairMergesLiveWrite(t *testing.T) {
 	t.Fatalf("merge never happened: final body %q, want %q", got, want)
 }
 
-func mergeRun(t *testing.T) string {
+func mergeRun(t *testing.T) (string, *core.Report) {
 	t.Helper()
 	w := core.New(core.Config{Seed: 99, RepairWorkers: 2})
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
@@ -217,8 +226,10 @@ func mergeRun(t *testing.T) string {
 	}
 
 	done := make(chan error, 1)
+	var rep *core.Report
 	go func() {
-		_, err := w.RetroPatch("edit.php", app.Version{Entry: editHandler(true, delay), Note: "harden line1"})
+		var err error
+		rep, err = w.RetroPatch("edit.php", app.Version{Entry: editHandler(true, delay), Note: "harden line1"})
 		done <- err
 	}()
 	awaitRepairStart(w, done)
@@ -230,6 +241,7 @@ func mergeRun(t *testing.T) string {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
+	t.Logf("catch-up re-queued %d, commit window re-queued %d in %d passes", rep.CatchupRequeued, rep.CommitRequeued, rep.CommitPasses)
 
 	res, _, err := w.DB.Exec("SELECT body FROM posts WHERE id = ?", sqldb.Int(1))
 	if err != nil {
@@ -238,7 +250,7 @@ func mergeRun(t *testing.T) string {
 	if len(res.Rows) != 1 {
 		t.Fatalf("got %d rows for id=1, want 1", len(res.Rows))
 	}
-	return res.Rows[0][0].AsText()
+	return res.Rows[0][0].AsText(), rep
 }
 
 // TestLiveExecDuringRepairStress hammers a mid-repair deployment with

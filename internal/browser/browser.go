@@ -108,12 +108,12 @@ type VisitLog struct {
 	Requests     []RequestTrace
 	Blocked      bool // frame load was refused (X-Frame-Options)
 
-	// mu guards Events and Requests, which the browser grows in place
-	// after the log was uploaded (the in-process §5.2 model: the server
-	// holds the shared object and re-reads it on periodic re-sync). The
-	// persistence layer's background checkpoints can encode the log
-	// concurrently with a page load, so growth and encode serialize
-	// through Lock/Unlock.
+	// mu guards Events, Requests and Blocked, which the browser sets in
+	// place after the log was uploaded (the in-process §5.2 model: the
+	// server holds the shared object and re-reads it on periodic
+	// re-sync). The persistence layer's background checkpoints can encode
+	// the log concurrently with a page load, so growth and encode
+	// serialize through Lock/Unlock, and repair reads a Snapshot.
 	mu sync.Mutex
 }
 
@@ -123,6 +123,19 @@ func (v *VisitLog) Lock() { v.mu.Lock() }
 // Unlock releases the log's growth lock.
 func (v *VisitLog) Unlock() { v.mu.Unlock() }
 
+// Snapshot returns a copy of the log as it stands, for readers that must
+// not race the browser growing it: repair can replay a visit that is
+// still in progress. The copy shares the Events and Requests backing
+// arrays; the browser only appends, so the captured prefixes never
+// change.
+func (v *VisitLog) Snapshot() *VisitLog {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c := &VisitLog{}
+	c.copyFrom(v)
+	return c
+}
+
 // ReplaceWith copies src's contents into v in place, preserving v's
 // pointer identity (and lock): recovery's visit-log upsert refreshes
 // the object the per-client stores already hold. src must not be
@@ -130,6 +143,11 @@ func (v *VisitLog) Unlock() { v.mu.Unlock() }
 func (v *VisitLog) ReplaceWith(src *VisitLog) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.copyFrom(src)
+}
+
+// copyFrom copies every field but the lock.
+func (v *VisitLog) copyFrom(src *VisitLog) {
 	v.ClientID = src.ClientID
 	v.VisitID = src.VisitID
 	v.ParentVisit = src.ParentVisit
@@ -324,7 +342,9 @@ func (p *Page) loadResponse(resp *httpd.Response, isFrame bool) {
 		// The clickjacking defense (Table 2): the browser refuses to render
 		// the document inside a frame.
 		p.Blocked = true
+		p.Log.Lock()
 		p.Log.Blocked = true
+		p.Log.Unlock()
 		p.DOM = dom.NewDocument()
 		return
 	}

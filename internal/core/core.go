@@ -162,6 +162,11 @@ type Warp struct {
 	// recovered deployment detects stale registration instead of
 	// silently replaying with mismatched handlers.
 	recoveredFileVersions map[string]int
+
+	// afterConverge, when set, runs in each repair once its commit window
+	// has converged, before the commit (export_test.go's differential
+	// check of the touched-action re-check).
+	afterConverge func(*session) error
 }
 
 // New creates a WARP deployment with a fresh clock, database, runtime, and
@@ -334,6 +339,11 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 			runAct.Outputs = append(runAct.Outputs, history.Dep{Node: cookieNode, Time: rec.Time})
 		}
 	}
+	// Account the log bytes before the actions are published: once a
+	// query action is in the graph, a running repair may re-execute it
+	// and rewrite its record in place.
+	w.appLogBytes += rec.ApproxLogBytes()
+	w.dbLogBytes += rec.DBLogBytes()
 	runID := w.Graph.Append(runAct)
 	w.runByHTTP[httpNode] = runID
 
@@ -357,8 +367,6 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 		}
 		payload.QueryActions = append(payload.QueryActions, w.Graph.Append(qa))
 	}
-	w.appLogBytes += rec.ApproxLogBytes()
-	w.dbLogBytes += rec.DBLogBytes()
 	return runID
 }
 

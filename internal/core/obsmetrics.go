@@ -33,6 +33,13 @@ var (
 	// repairItemHist observes per-work-item processing time (query
 	// check, run re-execution, or visit replay).
 	repairItemHist = obs.NewHistogram("warp_core_repair_item_seconds")
+	// requeuedCatchup / requeuedCommit count the items the touched-action
+	// re-check queued after the bulk drain, while live traffic still ran
+	// and under the commit-window suspension; suspendHist observes how
+	// long each repair suspended live traffic.
+	requeuedCatchup = obs.NewCounter(`warp_core_repair_requeued_total{phase="catchup"}`)
+	requeuedCommit  = obs.NewCounter(`warp_core_repair_requeued_total{phase="commit"}`)
+	suspendHist     = obs.NewHistogram("warp_core_repair_suspended_seconds")
 
 	// Online-repair seam metrics (admission.go, replay.go, throttle.go).
 	// liveWritesQueued counts live writes that hit the admission gate

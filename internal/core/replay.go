@@ -39,15 +39,19 @@ func (rs *session) processQuery(it *workItem) error {
 	rec := payload.Rec
 
 	oldOutcome := rec.Outcome()
-	rec.Params = rs.mergeLiveText(rec, rec.Params)
+	// A merged live write re-executes with the merged text, which the
+	// in-place replacement below then records.
+	params := rs.mergeLiveText(rec, rec.Params)
 	rs.tracef("qcheck t=%d kind=%s sql=%.60s", rec.Time, rec.Kind, rec.SQL)
+	stamp := rs.nextSeq()
 	t0 := time.Now()
-	_, newRec, err := rs.w.DB.ReExec(rec.SQL, rec.Params, rec.Time, origForReExec(rec))
+	_, newRec, err := rs.w.DB.ReExec(rec.SQL, params, rec.Time, origForReExec(rec))
 	rs.tDB.Add(int64(time.Since(t0)))
 	rs.markQuery(act.ID)
 	if err != nil && newRec == nil {
 		return fmt.Errorf("warp: re-executing %q: %w", rec.SQL, err)
 	}
+	rs.stampExec(rec, stamp)
 	if rec.IsWrite() {
 		// Re-applied write: the re-executed record replaces the original
 		// *in place*, so the query action and the owning run record (which
@@ -64,13 +68,15 @@ func (rs *session) processQuery(it *workItem) error {
 			outs = append(outs, history.Dep{Node: rs.w.partNode(p), Time: rec.Time})
 		}
 		rs.w.mu.Unlock()
-		rs.w.Graph.AddDeps(act.ID, ins, outs)
+		if rs.w.Graph.AddDeps(act.ID, ins, outs) {
+			rs.noteExtended(act.ID)
+		}
 		rs.addDirt(rec.WritePartitions, rec.Time)
 	}
 	if newRec.Outcome() != oldOutcome {
 		// The query's observable result changed: the application run that
 		// issued it may behave differently (§4, §7).
-		rs.passChanges.Add(1)
+		rs.outcomeChanges.Add(1)
 		if runAct := rs.w.Graph.Get(payload.RunAction); runAct != nil {
 			rs.enqueueRun(runAct)
 		}
@@ -265,12 +271,14 @@ func (rs *session) executeRun(origAct *history.Action, req *httpd.Request) (*htt
 			lastTime++
 			t = lastTime
 		}
+		stamp := rs.nextSeq()
 		t0 := time.Now()
 		res, newRec, err := rs.w.DB.ReExecPrepared(cs, params, t, origRec)
 		d := time.Since(t0)
 		dbTime += d
 		rs.tDB.Add(int64(d))
 		if newRec != nil {
+			rs.stampExec(newRec, stamp)
 			lastTime = newRec.Time
 			if newRec.IsWrite() {
 				rs.tracef("  run-query write t=%d sql=%.60s", t, sql)
@@ -408,7 +416,7 @@ func (rs *session) cancelRun(payload *RunPayload, clientID string, visitID int64
 // repaired timeline, including the visits it spawned.
 func (rs *session) cancelVisitTree(log *browser.VisitLog) {
 	rs.tracef("cancel visit tree %s/%d url=%s", log.ClientID, log.VisitID, log.URL)
-	for _, tr := range log.Requests {
+	for _, tr := range log.Snapshot().Requests {
 		rs.cancelExchange(log.ClientID, log.VisitID, tr.RequestID)
 	}
 	rs.w.mu.Lock()
@@ -463,13 +471,17 @@ func (rs *session) freshRun(req *httpd.Request) *httpd.Response {
 	var dbTime time.Duration // this run's own query time (see executeRun)
 	qf := func(sql string, params []sqldb.Value) (*sqldb.Result, *ttdb.Record, error) {
 		lastTime++
+		stamp := rs.nextSeq()
 		t0 := time.Now()
 		res, rec, err := rs.w.DB.ReExec(sql, params, lastTime, nil)
 		d := time.Since(t0)
 		dbTime += d
 		rs.tDB.Add(int64(d))
-		if rec != nil && rec.IsWrite() {
-			rs.addDirt(rec.WritePartitions, rec.Time)
+		if rec != nil {
+			rs.stampExec(rec, stamp)
+			if rec.IsWrite() {
+				rs.addDirt(rec.WritePartitions, rec.Time)
+			}
 		}
 		return res, rec, err
 	}
@@ -496,6 +508,8 @@ func (rs *session) processVisit(it *workItem) error {
 	if vlog == nil {
 		return nil
 	}
+	// A live client may still be growing the log; replay what it holds.
+	vlog = vlog.Snapshot()
 	key := fmt.Sprintf("v:%s/%d", it.client, it.visit)
 	rs.mu.Lock()
 	rs.activeVisit[key] = true
@@ -586,6 +600,9 @@ func (rs *session) processVisit(it *workItem) error {
 	rs.w.mu.Lock()
 	children := append([]*browser.VisitLog{}, rs.w.childVisits(it.client, it.visit)...)
 	rs.w.mu.Unlock()
+	for i, c := range children {
+		children[i] = c.Snapshot()
+	}
 	usedChild := make(map[int64]bool)
 	for _, nav := range out.Navigations {
 		child := matchChild(children, usedChild, nav)
@@ -691,7 +708,7 @@ func (rs *session) clearJarOverride(client string) {
 // responses' cookie changes.
 func (rs *session) origJarAfter(vlog *browser.VisitLog) httpd.Fields {
 	jar := vlog.Cookies
-	for _, tr := range vlog.Requests {
+	for _, tr := range vlog.Snapshot().Requests {
 		act := rs.origRunFor(history.HTTPNode(vlog.ClientID, vlog.VisitID, tr.RequestID))
 		if act == nil {
 			continue

@@ -39,6 +39,16 @@ type Report struct {
 	GraphNodesLoaded int
 	Aborted          bool
 
+	// Convergence after the bulk drain (docs/repair.md "The commit
+	// window"): the items the touched-action re-check queued while live
+	// traffic still ran (CatchupRequeued) and under the commit-window
+	// suspension (CommitRequeued), the commit window's drain passes, and
+	// the live query actions the commit window had to re-check.
+	CatchupRequeued   int
+	CommitRequeued    int
+	CommitPasses      int
+	CommitLiveActions int
+
 	// RepairWorkers is the number of parallel workers the scheduler used.
 	// It does not appear in String(): a repair's outcome is independent of
 	// how many workers computed it.

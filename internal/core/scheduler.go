@@ -14,13 +14,16 @@
 // Page-visit replays are exclusive *per client*: a replay threads one
 // client's cookie jar and navigation state through its runs, so two
 // visits of the same client serialize, while independent clients'
-// visits replay in parallel. A visit's footprint claims the client's
-// cookie node, the visit's subtree of exchange nodes (a replay may
-// cancel or re-serve any of them), and the partition edges of the runs
-// behind those exchanges — so visit replays also order correctly
-// against individual query checks and run re-executions touching the
-// same state. Config.TableGranularLocks restores the old globally
-// exclusive behavior.
+// visits replay in parallel. A visit replay also waits for the client's
+// in-flight run and query items: their outcome can cascade into an
+// earlier visit of the same client, which reshapes the jar and the
+// navigation every later visit replays with. A visit's footprint claims
+// the client's cookie node, the visit's subtree of exchange nodes (a
+// replay may cancel or re-serve any of them), and the partition edges of
+// the runs behind those exchanges — so visit replays also order
+// correctly against individual query checks and run re-executions
+// touching the same state. Config.TableGranularLocks restores the old
+// globally exclusive behavior.
 //
 // Footprints are derived from the history graph's dependency edges
 // (Graph.PartitionDepsOf), not recomputed from query records, so a work
@@ -73,9 +76,10 @@ type workItem struct {
 
 	// fp caches the item's footprint across dispatch scans. A cached
 	// footprint can under-claim partitions an in-flight write discovers
-	// later (AddDeps), but that is safe: the discovering write also marks
-	// those partitions dirty, and dirt propagation re-enqueues any reader
-	// that ran too early — the same fixpoint the serial engine relies on.
+	// later (AddDeps), but that is safe: the discovering write marks
+	// those partitions dirty, which re-enqueues every reader already
+	// indexed on them, and the controller's re-check (session.recheck)
+	// re-enqueues the reader whose edges were indexed after that dirt.
 	fp *footprint
 }
 
@@ -108,10 +112,15 @@ type footprint struct {
 	nodeReads  map[history.NodeID]bool
 	nodeWrites map[history.NodeID]bool
 	run        history.ActionID
-	// client is set on visit-replay items: replays of one client's
-	// visits serialize among themselves (they thread the client's cookie
-	// jar and navigation state), independent clients replay in parallel.
+	// client is the browser client the item acts for: the replayed
+	// visit's, or the request's behind a run or query item. replay marks
+	// visit replays. A replay conflicts with every item of its client
+	// (replays thread the client's cookie jar and navigation state, and a
+	// run or query item of the client can cascade into an earlier visit
+	// of it); run and query items of one client do not conflict through
+	// the client alone.
 	client    string
+	replay    bool
 	exclusive bool
 }
 
@@ -123,7 +132,7 @@ func (a *footprint) conflicts(b *footprint) bool {
 	if a.run != 0 && a.run == b.run {
 		return true
 	}
-	if a.client != "" && a.client == b.client {
+	if a.client != "" && a.client == b.client && (a.replay || b.replay) {
 		return true
 	}
 	if a.writes.Overlaps(b.reads) || a.writes.Overlaps(b.writes) || b.writes.Overlaps(a.reads) {
@@ -213,13 +222,14 @@ func runKeyOf(run history.ActionID) itemKey {
 }
 
 // push enqueues a work item, deduplicating against identical pending items
-// (navigation-carrying replacements always enter).
-func (s *scheduler) push(it *workItem) {
+// (navigation-carrying replacements always enter). It reports whether
+// the item entered the queue.
+func (s *scheduler) push(it *workItem) bool {
 	key := keyOf(it)
 	s.mu.Lock()
 	if s.pendingKeys[key] && !it.hasNav {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	s.pendingKeys[key] = true
 	s.mu.Unlock()
@@ -229,6 +239,7 @@ func (s *scheduler) push(it *workItem) {
 	s.mu.Unlock()
 	actionsRemaining.Add(1)
 	s.cond.Broadcast()
+	return true
 }
 
 // isPending reports whether an item with the given key is queued (or
@@ -440,6 +451,11 @@ func (s *scheduler) footprintFor(it *workItem) *footprint {
 	}
 	fp := newFootprint()
 	fp.run = it.runAction
+	if run := s.rs.w.Graph.Get(it.runAction); run != nil {
+		if p, ok := run.Payload.(*RunPayload); ok {
+			fp.client = p.Rec.Req.ClientID
+		}
+	}
 	s.addActionDeps(fp, it.action)
 	if it.kind == workRunExec {
 		s.addRunQueryDeps(fp, it.action)
@@ -469,7 +485,7 @@ func (s *scheduler) visitFootprint(it *workItem) *footprint {
 		return &footprint{exclusive: true}
 	}
 	fp := newFootprint()
-	fp.client = it.client
+	fp.client, fp.replay = it.client, true
 	fp.nodeWrites[history.CookieNode(it.client)] = true
 
 	w := s.rs.w
@@ -479,7 +495,7 @@ func (s *scheduler) visitFootprint(it *workItem) *footprint {
 	walk = func(visit int64) {
 		fp.nodeWrites[history.VisitNode(it.client, visit)] = true
 		if vlog := w.visitByID[it.client][visit]; vlog != nil {
-			for _, tr := range vlog.Requests {
+			for _, tr := range vlog.Snapshot().Requests {
 				node := history.HTTPNode(it.client, visit, tr.RequestID)
 				fp.nodeWrites[node] = true
 				if id, ok := w.runByHTTP[node]; ok {
@@ -546,18 +562,21 @@ func (s *scheduler) addActionDeps(fp *footprint, id history.ActionID) {
 // Session-side queueing helpers
 //
 
-func (rs *session) enqueueQuery(a *history.Action) {
-	if p, ok := a.Payload.(*QueryPayload); ok && !p.Superseded.Load() {
-		// Dirt propagation re-offers the same query for every partition it
-		// reads, every time those partitions gain dirt; probe the pending
-		// set before allocating the work item (push re-checks under lock,
-		// so a racing duplicate still deduplicates — it just pays the
-		// allocation).
-		if rs.sched.isPending(itemKey{kind: workQueryCheck, action: a.ID}) {
-			return
-		}
-		rs.sched.push(&workItem{kind: workQueryCheck, time: a.Time, action: a.ID, runAction: p.RunAction})
+// enqueueQuery queues a query check and reports whether it entered the
+// queue (false when superseded or already pending).
+func (rs *session) enqueueQuery(a *history.Action) bool {
+	p, ok := a.Payload.(*QueryPayload)
+	if !ok || p.Superseded.Load() {
+		return false
 	}
+	// Dirt propagation re-offers the same query for every partition it
+	// reads, every time those partitions gain dirt; probe the pending set
+	// before allocating the work item (push re-checks under lock, so a
+	// racing duplicate still deduplicates — it just pays the allocation).
+	if rs.sched.isPending(itemKey{kind: workQueryCheck, action: a.ID}) {
+		return false
+	}
+	return rs.sched.push(&workItem{kind: workQueryCheck, time: a.Time, action: a.ID, runAction: p.RunAction})
 }
 
 func (rs *session) enqueueRun(a *history.Action) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"warp/internal/app"
+	"warp/internal/history"
 	"warp/internal/httpd"
 	"warp/internal/sqldb"
 	"warp/internal/ttdb"
@@ -236,5 +237,38 @@ func TestParallelUndoVisit(t *testing.T) {
 				t.Fatalf("workers=%d: undone note survived", workers)
 			}
 		}
+	}
+}
+
+// TestRecheckCatchesReadBeforeRollback pins the case only the
+// touched-action re-check covers. A patched run that no longer issues
+// one of its writes reads that write's partition before executeRun rolls
+// the write back, and the run's new query actions are indexed only
+// after the rollback's dirt was propagated. The re-check must re-queue
+// the stale read, so the run re-executes against the rolled-back state.
+func TestRecheckCatchesReadBeforeRollback(t *testing.T) {
+	w := newNotesAppWorkers(t, 1)
+	if resp := w.HandleRequest(httpd.NewRequest("GET", "/?owner=u0&body=evil")); resp.Status != 200 {
+		t.Fatalf("seed request failed: %d", resp.Status)
+	}
+	readOnly := func(c *app.Ctx) *httpd.Response {
+		res := c.MustQuery("SELECT body FROM notes WHERE owner = ?", sqldb.Text(c.Req.Param("owner")))
+		return httpd.HTML(fmt.Sprintf("<html><body>%d notes</body></html>", len(res.Rows)))
+	}
+	rep, err := w.RetroPatch("notes.php", app.Version{Entry: readOnly, Note: "no writes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body string
+	for _, a := range w.Graph.ByKind(history.KindAppRun) {
+		if p := a.Payload.(*RunPayload); !p.Superseded.Load() {
+			body = p.Rec.Resp.Body
+		}
+	}
+	if !strings.Contains(body, "0 notes") {
+		t.Fatalf("repaired run rendered %q, want the rolled-back table's 0 notes", body)
+	}
+	if rep.CatchupRequeued == 0 {
+		t.Error("the re-check re-queued nothing; the stale read was caught elsewhere")
 	}
 }

@@ -34,12 +34,24 @@ type session struct {
 	// mu guards the session maps, counters, and the report's work
 	// accounting. It is never held across a scheduler push or a Warp/graph
 	// lock acquisition.
-	mu  sync.Mutex
+	mu sync.Mutex
+	// seq is the session counter: heap tie-breaks, synthetic IDs, and the
+	// stamps that order dirt events against query executions (recheck).
 	seq int64
 
-	// dirt maps partitions to the earliest time their contents changed
-	// during this repair.
-	dirt map[ttdb.Partition]int64
+	// dirt maps each partition changed during this repair to its dirt
+	// events; the first holds the earliest time its contents changed.
+	dirt map[ttdb.Partition]dirtLog
+
+	// execStamps maps a query record to the stamp taken just before its
+	// latest (re-)execution began. Records executed by live traffic have
+	// none (stamp 0): they read the current generation, not the repair's.
+	execStamps map[*ttdb.Record]int64
+	// extended lists query actions whose dependency edges AddDeps grew
+	// since the last recheck; mark is the graph watermark of that
+	// recheck. mark is only touched by the controller between drains.
+	extended []history.ActionID
+	mark     history.ActionID
 
 	origRuns    map[history.NodeID]history.ActionID // first-seen (original) run per exchange
 	served      map[history.NodeID]*servedEntry
@@ -88,12 +100,11 @@ type session struct {
 	// converges on the merged value instead of oscillating.
 	mergedLive map[string]string
 
-	// passChanges counts state changes observed during the current
-	// fixpoint pass: dirt-map entries created or lowered, and query
-	// outcomes that changed on re-execution. A pass that drains with
-	// zero changes re-executed deterministic, already-converged work, so
-	// the fixpoint loop stops instead of burning its full pass budget.
-	passChanges atomic.Int64
+	// dirtChanges counts dirt-map entries created or lowered, and
+	// outcomeChanges query outcomes that changed on re-execution. The
+	// controller trace reports both per convergence pass.
+	dirtChanges    atomic.Int64
+	outcomeChanges atomic.Int64
 }
 
 // servedEntry caches the outcome of re-serving one HTTP exchange during
@@ -124,7 +135,9 @@ func (w *Warp) newSession(gen int64) *session {
 		gen:          gen,
 		rep:          rep,
 		cfg:          *w.cfg.Replay,
-		dirt:         make(map[ttdb.Partition]int64),
+		dirt:         make(map[ttdb.Partition]dirtLog),
+		execStamps:   make(map[*ttdb.Record]int64),
+		mark:         w.Graph.Mark(),
 		origRuns:     make(map[history.NodeID]history.ActionID),
 		served:       make(map[history.NodeID]*servedEntry),
 		activeVisit:  make(map[string]bool),
@@ -191,20 +204,134 @@ func (rs *session) tracef(format string, args ...any) {
 // Dirt tracking and propagation (§4.1: partition-based dependencies)
 //
 
+// dirtEvent is one addDirt call on a partition: the time the partition
+// changed from, and the session stamp of the call.
+type dirtEvent struct{ time, stamp int64 }
+
+// dirtLog is a partition's dirt events in stamp order. An event is
+// dropped once a later one is no later in time: any action that missed
+// the earlier event also missed the later one. So times increase along
+// the log, and its first event holds the partition's earliest dirt.
+type dirtLog []dirtEvent
+
+func (l dirtLog) add(time, stamp int64) dirtLog {
+	for len(l) > 0 && l[len(l)-1].time >= time {
+		l = l[:len(l)-1]
+	}
+	return append(l, dirtEvent{time, stamp})
+}
+
+// missedBy reports whether an action at time t whose latest execution
+// began at stamp since missed one of the events: an event timed before
+// the action and recorded after that execution began.
+func (l dirtLog) missedBy(t, since int64) bool {
+	i := sort.Search(len(l), func(i int) bool { return l[i].stamp > since })
+	return i < len(l) && l[i].time < t
+}
+
 // addDirt records that partitions changed from a given time on and
-// enqueues every logged query reading or writing them afterwards.
+// enqueues every logged query reading or writing them afterwards. It is
+// called after the change is made, so a query execution stamped later
+// sees it.
 func (rs *session) addDirt(parts []ttdb.Partition, from int64) {
 	rs.mu.Lock()
+	rs.seq++
 	for _, p := range parts {
-		if old, ok := rs.dirt[p]; !ok || from < old {
-			rs.dirt[p] = from
-			rs.passChanges.Add(1)
+		log := rs.dirt[p]
+		if len(log) == 0 || from < log[0].time {
+			rs.dirtChanges.Add(1)
 		}
+		rs.dirt[p] = log.add(from, rs.seq)
 	}
 	rs.mu.Unlock()
 	for _, p := range parts {
 		rs.propagate(p, from)
 	}
+}
+
+// stampExec files the stamp (nextSeq) taken just before a query
+// (re-)executed under the record that execution produced.
+func (rs *session) stampExec(rec *ttdb.Record, stamp int64) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.execStamps[rec] = stamp
+}
+
+// noteExtended records a query action whose dependency edges AddDeps
+// grew, for the next recheck.
+func (rs *session) noteExtended(id history.ActionID) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	rs.extended = append(rs.extended, id)
+}
+
+// recheck re-enqueues the query actions that may have missed dirt, and
+// returns how many it queued and how many of the actions it checked
+// were logged by live traffic. addDirt enqueues every action indexed on
+// a partition when the dirt is recorded, so only an action indexed
+// later can miss it: one appended since the last recheck (by live
+// traffic, or by recordRun for a re-executed or fresh run) or one whose
+// edges AddDeps grew. Such an action is queued when a partition it
+// depends on got dirt timed before the action after the action's latest
+// execution began. Called between drains, with no worker running.
+func (rs *session) recheck() (queued, live int) {
+	acts, next := rs.w.Graph.Since(rs.mark)
+	rs.mu.Lock()
+	extended := rs.extended
+	rs.extended = nil
+	rs.mu.Unlock()
+	seen := make(map[history.ActionID]bool, len(extended))
+	for _, id := range extended {
+		if id < rs.mark && !seen[id] {
+			seen[id] = true
+			if a := rs.w.Graph.Get(id); a != nil {
+				acts = append(acts, a)
+			}
+		}
+	}
+	rs.mark = next
+	for _, a := range acts {
+		qp, ok := a.Payload.(*QueryPayload)
+		if !ok || qp.Superseded.Load() {
+			continue
+		}
+		if a.Time > rs.liveSince && !qp.Repaired {
+			live++
+		}
+		if rs.missedDirt(a, qp.Rec) && rs.enqueueQuery(a) {
+			queued++
+		}
+	}
+	return queued, live
+}
+
+// missedDirt applies recheck's rule to one query action. Partition
+// overlap follows propagate and dirtyAt: a keyed partition depends on
+// its own dirt and its table's whole-table dirt, a whole-table partition
+// on every dirt of its table.
+func (rs *session) missedDirt(a *history.Action, rec *ttdb.Record) bool {
+	pd := rs.w.Graph.PartitionDepsOf(a.ID)
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	since := rs.execStamps[rec]
+	for _, name := range append(pd.PartReads, pd.PartWrites...) {
+		p, ok := ttdb.ParsePartition(name)
+		if !ok {
+			continue
+		}
+		if p.IsWholeTable() {
+			for dp, log := range rs.dirt {
+				if dp.Table == p.Table && log.missedBy(a.Time, since) {
+					return true
+				}
+			}
+			continue
+		}
+		if rs.dirt[p].missedBy(a.Time, since) || rs.dirt[ttdb.WholeTable(p.Table)].missedBy(a.Time, since) {
+			return true
+		}
+	}
+	return false
 }
 
 // partitionNodes expands a partition into the graph nodes its
@@ -263,17 +390,17 @@ func (rs *session) dirtyAt(parts []ttdb.Partition, t int64) bool {
 	defer rs.mu.Unlock()
 	for _, p := range parts {
 		if p.IsWholeTable() {
-			for dp, dt := range rs.dirt {
-				if dp.Table == p.Table && dt <= t {
+			for dp, log := range rs.dirt {
+				if dp.Table == p.Table && log[0].time <= t {
 					return true
 				}
 			}
 			continue
 		}
-		if dt, ok := rs.dirt[p]; ok && dt <= t {
+		if log, ok := rs.dirt[p]; ok && log[0].time <= t {
 			return true
 		}
-		if dt, ok := rs.dirt[ttdb.WholeTable(p.Table)]; ok && dt <= t {
+		if log, ok := rs.dirt[ttdb.WholeTable(p.Table)]; ok && log[0].time <= t {
 			return true
 		}
 	}
@@ -304,17 +431,6 @@ func (rs *session) claimed(parts []ttdb.Partition) bool {
 		}
 	}
 	return false
-}
-
-// dirtSnapshot copies the current dirt map, for the drain passes.
-func (rs *session) dirtSnapshot() map[ttdb.Partition]int64 {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	out := make(map[ttdb.Partition]int64, len(rs.dirt))
-	for p, t := range rs.dirt {
-		out[p] = t
-	}
-	return out
 }
 
 //
@@ -379,7 +495,7 @@ func (w *Warp) undoVisit(clientID string, visitID int64, admin, dequeue bool) (*
 		if vlog == nil {
 			return fmt.Errorf("warp: no visit log for %s/%d", clientID, visitID)
 		}
-		for _, tr := range vlog.Requests {
+		for _, tr := range vlog.Snapshot().Requests {
 			rs.cancelExchange(clientID, visitID, tr.RequestID)
 		}
 		rs.tInit.Add(int64(time.Since(t0)))
@@ -523,15 +639,19 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	// Config.ExclusiveRepair restores the paper's stop-the-world span.
 	exclusive := w.cfg.ExclusiveRepair
 	suspended := false
+	var suspendedAt time.Time
 	suspend := func() {
 		if !suspended {
 			w.Suspend()
-			suspended = true
+			suspended, suspendedAt = true, time.Now()
 		}
 	}
 	defer func() {
 		if suspended {
 			w.Resume()
+			d := time.Since(suspendedAt)
+			suspendHist.Observe(d)
+			rs.tracef("resumed live traffic after %v suspended", d)
 		}
 	}()
 	if exclusive {
@@ -553,7 +673,6 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		return nil, err
 	}
 	drainPass := func() error {
-		rs.passChanges.Store(0)
 		sp = tr.Begin("replay")
 		err := rs.sched.drain()
 		sp.End()
@@ -564,50 +683,54 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 		return nil, err
 	}
 
-	// Catch-up (online repair): re-propagate dirt and drain while the
-	// deployment is still serving, so writes logged by live traffic
-	// during the bulk replay are folded into the repair generation
-	// before anything suspends. Each converged pass shrinks the racing
-	// window; the suspended pass below closes it.
-	if !exclusive {
-		for pass := 0; pass < 4; pass++ {
-			for p, t := range rs.dirtSnapshot() {
-				rs.propagate(p, t)
+	// converge re-checks the actions indexed since the last re-check and
+	// drains what that re-queued, until a re-check queues nothing or the
+	// pass budget runs out. It returns the items queued, the live actions
+	// checked, and the passes drained.
+	converge := func(phase string, requeued *obs.Counter, budget int) (queued, live, passes int, err error) {
+		for passes < budget {
+			n, l := rs.recheck()
+			queued, live = queued+n, live+l
+			requeued.Add(uint64(n))
+			rs.tracef("%s: re-check %d re-queued %d items (%d live actions checked)", phase, passes, n, l)
+			if n == 0 {
+				return queued, live, passes, nil
 			}
-			if rs.sched.pendingLen() == 0 {
-				break
-			}
+			dirt, outcomes := rs.dirtChanges.Load(), rs.outcomeChanges.Load()
 			if err := drainPass(); err != nil {
-				abort()
-				return nil, err
+				return queued, live, passes, err
 			}
-			if rs.passChanges.Load() == 0 {
-				break
-			}
+			passes++
+			rs.tracef("%s: pass %d drained: %d dirt changes, %d outcome changes", phase, passes,
+				rs.dirtChanges.Load()-dirt, rs.outcomeChanges.Load()-outcomes)
 		}
+		rs.tracef("%s: pass budget %d spent", phase, budget)
+		return queued, live, passes, nil
 	}
 
-	// Commit window (§4.3): briefly suspend normal operation,
-	// re-propagate all dirt so requests logged during repair on repaired
-	// partitions are re-applied, and process to fixpoint. A pass that
-	// drains without a single dirt or outcome change re-executed only
-	// deterministic, already-converged work, so the loop stops there
-	// rather than spending its full pass budget on identical re-drains.
-	suspend()
-	for pass := 0; pass < 8; pass++ {
-		for p, t := range rs.dirtSnapshot() {
-			rs.propagate(p, t)
-		}
-		if rs.sched.pendingLen() == 0 {
-			break
-		}
-		if err := drainPass(); err != nil {
+	// Catch-up (online repair): fold in the writes live traffic logged
+	// during the bulk drain while the deployment still serves, so the
+	// commit window below only has to re-check what arrives after.
+	if !exclusive {
+		n, _, _, err := converge("catchup", requeuedCatchup, 4)
+		rs.rep.CatchupRequeued = n
+		if err != nil {
 			abort()
 			return nil, err
 		}
-		if rs.passChanges.Load() == 0 {
-			break
-		}
+	}
+
+	// Commit window (§4.3): briefly suspend normal operation, re-check
+	// the actions logged since the last re-check, and process to
+	// fixpoint (docs/repair.md "The commit window").
+	suspend()
+	rs.rep.CommitRequeued, rs.rep.CommitLiveActions, rs.rep.CommitPasses, err = converge("commit", requeuedCommit, 8)
+	if err == nil && w.afterConverge != nil {
+		err = w.afterConverge(rs)
+	}
+	if err != nil {
+		abort()
+		return nil, err
 	}
 
 	// Non-admin undo must not spill conflicts onto other users (§5.5).

@@ -351,16 +351,18 @@ func (g *Graph) Get(id ActionID) *Action {
 }
 
 // AddDeps extends an existing action with additional dependencies,
-// indexing them. Repair uses this when a re-executed query's record
-// replaces the original in place but touches new partitions.
-func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
+// indexing them, and reports whether any edge was new. Repair uses this
+// when a re-executed query's record replaces the original in place but
+// touches new partitions.
+func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	a := g.get(id)
 	if a == nil {
-		return
+		return false
 	}
 	g.muts++
+	added := false
 	have := make(map[Dep]bool, len(a.Inputs)+len(a.Outputs))
 	for _, d := range a.Inputs {
 		have[d] = true
@@ -369,6 +371,7 @@ func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 		if !have[d] {
 			a.Inputs = append(a.Inputs, d)
 			g.addPosting(g.readers, g.writers, d.Node, id)
+			added = true
 		}
 	}
 	have = make(map[Dep]bool, len(a.Outputs))
@@ -379,9 +382,37 @@ func (g *Graph) AddDeps(id ActionID, inputs, outputs []Dep) {
 		if !have[d] {
 			a.Outputs = append(a.Outputs, d)
 			g.addPosting(g.writers, g.readers, d.Node, id)
+			added = true
 		}
 	}
 	g.publishSize()
+	return added
+}
+
+// Mark returns a watermark for Since: every action appended after the
+// call has an ID at or above it.
+func (g *Graph) Mark() ActionID {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.nextID
+}
+
+// Since returns the live actions appended at or after mark, in append
+// order, and the mark to pass next time. Repair uses it to find the
+// actions whose dependency edges were indexed after a given point.
+func (g *Graph) Since(mark ActionID) ([]*Action, ActionID) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var out []*Action
+	if mark < g.base {
+		mark = g.base
+	}
+	for id := mark; id < g.nextID; id++ {
+		if a := g.get(id); a != nil {
+			out = append(out, a)
+		}
+	}
+	return out, g.nextID
 }
 
 // DepsOf returns copies of an action's input and output dependency edges.

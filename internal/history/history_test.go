@@ -228,3 +228,38 @@ func TestPropertyIndexConsistency(t *testing.T) {
 	check(g.Readers, reads)
 	check(g.Writers, writes)
 }
+
+// TestSinceListsActionsIndexedAfterMark: Since returns exactly the
+// actions appended at or after a mark, in append order, skipping
+// collected ones, and a mark that lets the next call pick up where this
+// one stopped. AddDeps reports whether it indexed a new edge.
+func TestSinceListsActionsIndexedAfterMark(t *testing.T) {
+	g := New()
+	q := func(t int64) *Action {
+		return &Action{Kind: KindQuery, Time: t, Inputs: []Dep{{Node: "part:t/*", Time: t}}}
+	}
+	g.Append(q(1))
+	mark := g.Mark()
+	a2, a3 := q(2), q(3)
+	g.Append(a2)
+	g.Append(a3)
+	got, next := g.Since(mark)
+	if len(got) != 2 || got[0] != a2 || got[1] != a3 {
+		t.Fatalf("Since(mark) = %v, want the two actions appended after it", got)
+	}
+	if got, _ := g.Since(next); len(got) != 0 {
+		t.Fatalf("Since(next) = %v before any append, want none", got)
+	}
+	a4 := q(4)
+	g.Append(a4)
+	g.GC(3) // collects a2
+	if got, _ := g.Since(mark); len(got) != 2 || got[0] != a3 || got[1] != a4 {
+		t.Fatalf("Since(mark) after GC = %v, want a3 and a4", got)
+	}
+	if !g.AddDeps(a3.ID, []Dep{{Node: "part:u/*", Time: 3}}, nil) {
+		t.Error("AddDeps of a new edge reported nothing added")
+	}
+	if g.AddDeps(a3.ID, []Dep{{Node: "part:u/*", Time: 3}}, nil) {
+		t.Error("AddDeps of an existing edge reported an addition")
+	}
+}
