@@ -20,19 +20,15 @@ import (
 // replays, each re-executing its run (with appLatency of simulated
 // application work) against the hot table.
 //
-// With tableGranular=false the refactored pipeline runs: visit replays
-// are exclusive only per client and the hot table takes partition
-// (lock-column key) scopes, so independent clients' replays — and their
-// DB re-executions on disjoint partitions of the one table — proceed in
-// parallel across workers. With tableGranular=true the pre-refactor
-// behavior is restored (globally exclusive visit replay, whole-table DB
-// locks): the baseline BenchmarkPartitionRepair compares against.
+// Visit replays are exclusive only per client and the hot table takes
+// partition (lock-column key) scopes, so independent clients' replays —
+// and their DB re-executions on disjoint partitions of the one table —
+// proceed in parallel across workers.
 //
 // The repair outcome — re-execution accounting and final table contents
-// — is identical at every worker count and in both locking modes; only
-// the wall time changes.
-func PartitionRepair(clients, pages, workers int, appLatency time.Duration, tableGranular bool) (*PartitionRepairResult, error) {
-	w := core.New(core.Config{Seed: 99, RepairWorkers: workers, TableGranularLocks: tableGranular})
+// — is identical at every worker count; only the wall time changes.
+func PartitionRepair(clients, pages, workers int, appLatency time.Duration) (*PartitionRepairResult, error) {
+	w := core.New(core.Config{Seed: 99, RepairWorkers: workers})
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		return nil, err
 	}
@@ -81,7 +77,7 @@ func PartitionRepair(clients, pages, workers int, appLatency time.Duration, tabl
 
 // PartitionRepairResult is one measurement of the partition-granular
 // pipeline, with the hot table's final contents for equivalence checks
-// across worker counts and locking modes.
+// across worker counts.
 type PartitionRepairResult struct {
 	Workers    int
 	RepairTime time.Duration

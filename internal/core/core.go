@@ -48,13 +48,6 @@ type Config struct {
 	// paper's time order. 0 means GOMAXPROCS; 1 reproduces the serial
 	// repair engine exactly.
 	RepairWorkers int
-	// TableGranularLocks restores the pre-partition-lock concurrency
-	// model: every database operation takes its whole table's lock and
-	// page-visit replays are globally exclusive. Repair outcomes are
-	// identical either way; the knob exists for comparison benchmarks
-	// (BenchmarkPartitionRepair's baseline) and as an operational escape
-	// hatch. See docs/repair.md.
-	TableGranularLocks bool
 	// RepairSLO is the live-request p99 latency target an online repair
 	// paces itself against: a throttle governor samples the
 	// warp_core_request_seconds histogram while repair runs and sheds
@@ -181,9 +174,6 @@ func New(cfg Config) *Warp {
 	}
 	clock := &vclock.Clock{}
 	db := ttdb.Open(clock)
-	if cfg.TableGranularLocks {
-		db.SetTableGranularLocks(true)
-	}
 	return &Warp{
 		Clock:           clock,
 		DB:              db,
@@ -308,10 +298,9 @@ func (w *Warp) recordRun(rec *app.RunRecord, repaired *bool) history.ActionID {
 	if w.pers != nil {
 		// Any fresh Token/RandInt draws this run made advanced the
 		// runtime's nondeterminism cursor; log the new position *before*
-		// the action records below, so on the metadata shard a recovered
-		// action always implies the cursor state that produced its draws
-		// (a hard crash cannot rewind the stream past values durable
-		// state depends on).
+		// the action records below, so a recovered action always implies
+		// the cursor state that produced its draws (a hard crash cannot
+		// rewind the stream past values durable state depends on).
 		w.pers.logCursors(w.Runtime.RNGCursor(), w.rngDraws.Load())
 	}
 	httpNode := w.httpNodeFor(rec.Req)

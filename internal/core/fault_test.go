@@ -31,7 +31,6 @@ import (
 func faultDurability(ffs *faultfs.FS) store.Options {
 	return store.Options{
 		SyncEveryAppend: true,
-		Shards:          2,
 		FS:              ffs,
 		RetryAttempts:   3,
 		RetryBackoff:    time.Microsecond,
@@ -80,13 +79,26 @@ func sweepOracle(t *testing.T) (dump string, rows []string) {
 	return dump, rows
 }
 
+// restartOnFaultyDisk reopens dir on the still-faulted filesystem and
+// closes it again, so the swept range also covers recovery reads of a
+// non-empty directory and the restart's closing checkpoint. Open may
+// refuse cleanly; it returns whether it did, and Close's error.
+func restartOnFaultyDisk(dir string, cfg Config) (refused bool, closeErr error) {
+	w, err := Open(dir, cfg)
+	if err != nil {
+		return true, nil
+	}
+	return false, w.Close()
+}
+
 // countWorkloadOps measures roughly how many I/O operations one full
-// run issues, bounding the sweep range.
+// run issues, restart included, bounding the sweep range.
 func countWorkloadOps(t *testing.T) int64 {
 	t.Helper()
 	probe := faultfs.New(nil)
 	cfg := Config{Seed: 1, RepairWorkers: 1, Durability: faultDurability(probe)}
-	w, err := Open(t.TempDir(), cfg)
+	dir := t.TempDir()
+	w, err := Open(dir, cfg)
 	if err != nil {
 		t.Fatalf("probe Open: %v", err)
 	}
@@ -100,17 +112,25 @@ func countWorkloadOps(t *testing.T) int64 {
 	if err := w.Close(); err != nil {
 		t.Fatalf("probe Close: %v", err)
 	}
+	if refused, err := restartOnFaultyDisk(dir, cfg); refused || err != nil {
+		t.Fatalf("probe restart: refused=%v Close=%v", refused, err)
+	}
 	return probe.OpCount()
 }
 
+// sweepStride is the default sampling stride. It is fixed rather than
+// a fraction of the op count, so the sampled op indices — and the
+// subtest names — stay put when a store change adds or removes I/O.
+const sweepStride = 6
+
 // sweepStep picks the sweep sampling density: every op when
-// WARP_FAULT_SWEEP=full (the nightly CI job), a capped sample
-// otherwise (the PR-gating job).
+// WARP_FAULT_SWEEP=full (the nightly CI job), every sweepStride-th op
+// otherwise (the PR-gating job), and a sparser sample under -short.
 func sweepStep(t *testing.T, total int64) int64 {
 	if os.Getenv("WARP_FAULT_SWEEP") == "full" {
 		return 1
 	}
-	step := total / 24
+	step := int64(sweepStride)
 	if testing.Short() {
 		step = total / 8
 	}
@@ -176,6 +196,11 @@ func TestFaultSweepTransient(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
+			// A fault landing in the restart may refuse Open cleanly, but
+			// a restart that did open must absorb it through Close.
+			if _, err := restartOnFaultyDisk(dir, cfg); err != nil {
+				t.Fatalf("restart Close after transient fault: %v", err)
+			}
 
 			w2 := buildWarp(t, dir, 1)
 			defer w2.Close()
@@ -220,6 +245,9 @@ func TestFaultSweepPersistent(t *testing.T) {
 				// hit the dying disk; the successful one above is the
 				// recovery root either way.
 				_ = w.Close()
+				// A restart on the dying disk may refuse or fail to close;
+				// neither may damage what the clean reopen recovers.
+				_, _ = restartOnFaultyDisk(dir, cfg)
 				w2 := buildWarp(t, dir, 1)
 				defer w2.Close()
 				if got := dumpWarp(t, w2); got != want {
@@ -254,6 +282,7 @@ func TestFaultSweepPersistent(t *testing.T) {
 				}
 			}
 			_ = w.Close()
+			_, _ = restartOnFaultyDisk(dir, cfg)
 
 			// Every committed pre-fault row must be readable after a
 			// clean reopen: recovered rows form a prefix of the oracle's.

@@ -20,7 +20,7 @@ import (
 
 // The incremental-checkpoint suite: dirty-table tracking must make
 // checkpoint cost proportional to the write set, and the layered
-// recovery — manifest + base + deltas + sharded WAL tails — must stay
+// recovery — manifest + base + deltas + WAL tail — must stay
 // bit-identical to a never-crashed oracle.
 
 // openMultiTable builds a durable deployment with n annotated tables of
@@ -88,7 +88,7 @@ func writtenSections(st store.CheckpointStats) map[string]bool {
 // the layered state is bit-identical.
 func TestIncrementalCheckpointWritesOnlyDirtyTables(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, Shards: 3, CompactEvery: 100}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
 	w := openMultiTable(t, dir, 6, 20, dur)
 
 	if err := w.Checkpoint(); err != nil {
@@ -156,7 +156,7 @@ func TestIncrementalCheckpointWritesOnlyDirtyTables(t *testing.T) {
 // checkpoint of the same database.
 func TestCheckpointCostTracksDirtySet(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{Shards: 2, CompactEvery: 100}
+	dur := store.Options{CompactEvery: 100}
 	w := openMultiTable(t, dir, 8, 200, dur)
 	defer w.Crash()
 
@@ -183,13 +183,13 @@ func TestCheckpointCostTracksDirtySet(t *testing.T) {
 
 // TestCrashWithIncrementalCheckpointsRecoversExact is TestCrashMidWorkload
 // over the full layering: checkpoints interleave with workload steps, so
-// every crash point recovers through manifest + base + deltas + sharded
-// WAL tails, and must still match the never-crashed oracle bit for bit —
+// every crash point recovers through manifest + base + deltas + WAL
+// tail, and must still match the never-crashed oracle bit for bit —
 // including the subsequent repair.
 func TestCrashWithIncrementalCheckpointsRecoversExact(t *testing.T) {
 	base := t.TempDir()
 	live := filepath.Join(base, "live")
-	dur := store.Options{SyncEveryAppend: true, Shards: 3, CompactEvery: 2}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 2}
 	w := buildWarpDur(t, live, 1, dur)
 	browsers := []*browser.Browser{w.NewBrowser(), w.NewBrowser(), w.NewBrowser()}
 	steps := workloadSteps(browsers)
@@ -250,7 +250,7 @@ func TestCorruptTailFencedByCheckpoint(t *testing.T) {
 	}
 	w.Crash()
 
-	// Damage the first segment of shard 0 near its end: most of it
+	// Damage the first WAL segment near its end: most of it
 	// replays, everything after it is unreachable.
 	var segs []string
 	entries, err := os.ReadDir(dir)
@@ -264,7 +264,7 @@ func TestCorruptTailFencedByCheckpoint(t *testing.T) {
 	}
 	sort.Strings(segs)
 	if len(segs) < 3 {
-		t.Fatalf("workload produced %d shard-0 segments; need several", len(segs))
+		t.Fatalf("workload produced %d WAL segments; need several", len(segs))
 	}
 	path := filepath.Join(dir, segs[0])
 	data, err := os.ReadFile(path)
@@ -368,34 +368,60 @@ func TestPendingIntentSurvivesCheckpoint(t *testing.T) {
 	assertSameState(t, "resume after checkpointed intent", recovered, control)
 }
 
-// TestShardCountChangeAcrossRestartAtDeploymentLevel: a deployment
-// written with 3 WAL shards must recover when reopened with 1 (and vice
-// versa) — routing is a performance decision, never a correctness one.
-func TestShardCountChangeAcrossRestartAtDeploymentLevel(t *testing.T) {
+// TestOpenRefusesSecondWALChainAtDeploymentLevel: a deployment
+// directory holding a WAL chain other than 00 — left by a release that
+// sharded the WAL — must fail Open with the migration instructions and
+// leave every file byte-for-byte untouched, rather than recover without
+// that chain's history.
+func TestOpenRefusesSecondWALChainAtDeploymentLevel(t *testing.T) {
 	dir := t.TempDir()
-	w := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 3})
+	w := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true})
 	browsers := []*browser.Browser{w.NewBrowser(), w.NewBrowser(), w.NewBrowser()}
 	for _, step := range workloadSteps(browsers) {
 		step()
 	}
-	if err := w.FlushLogs(); err != nil {
+	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want := dumpWarp(t, w)
-	w.Crash() // WAL-only recovery, merged across 3 shards
-
-	w2 := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 1})
-	if got := dumpWarp(t, w2); got != want {
-		t.Fatalf("shard-count change broke recovery\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-	if err := w2.Close(); err != nil {
+	const planted = "wal-01-00000001.log"
+	if err := os.WriteFile(filepath.Join(dir, planted), []byte("second chain"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	snapshot := func() map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(entries))
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
+	}
+	before := snapshot()
 
-	w3 := buildWarpDur(t, dir, 1, store.Options{SyncEveryAppend: true, Shards: 4})
-	defer w3.Crash()
-	if got := dumpWarp(t, w3); got != want {
-		t.Fatalf("re-sharding broke recovery\n--- got ---\n%s--- want ---\n%s", got, want)
+	w2, err := Open(dir, Config{Seed: 1, RepairWorkers: 1, Durability: store.Options{SyncEveryAppend: true}})
+	if err == nil {
+		w2.Crash()
+		t.Fatal("Open accepted a deployment directory holding a second WAL chain")
+	}
+	for _, want := range []string{planted, "previous release", "wal-shards", "checkpoint"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not mention %q", err, want)
+		}
+	}
+	after := snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+	for name, data := range before {
+		if after[name] != data {
+			t.Fatalf("refused Open changed %s", name)
+		}
 	}
 }
 
@@ -406,7 +432,7 @@ func TestShardCountChangeAcrossRestartAtDeploymentLevel(t *testing.T) {
 // must still recover bit-identically.
 func TestPartitionGranularDirtyTracking(t *testing.T) {
 	dir := t.TempDir()
-	dur := store.Options{SyncEveryAppend: true, Shards: 2, CompactEvery: 100}
+	dur := store.Options{SyncEveryAppend: true, CompactEvery: 100}
 	w, err := Open(dir, Config{Seed: 9, RepairWorkers: 1, Durability: dur})
 	if err != nil {
 		t.Fatal(err)

@@ -101,12 +101,10 @@ type RecoveryStats struct {
 	// FromSnapshot is true when a checkpoint (manifest + sections) was
 	// loaded.
 	FromSnapshot bool
-	// WALRecords is the number of WAL-tail records replayed, summed over
-	// all shards.
+	// WALRecords is the number of WAL-tail records replayed.
 	WALRecords int
-	// TailCorrupt is true when at least one WAL shard ended in a torn or
-	// corrupt frame; the state recovered is the consistent per-shard
-	// prefix before it.
+	// TailCorrupt is true when the WAL ended in a torn or corrupt frame;
+	// the state recovered is the consistent prefix before it.
 	TailCorrupt bool
 	// SnapshotFallback is true when the newest checkpoint failed its
 	// checksum and an older one was used.
@@ -156,29 +154,18 @@ type persister struct {
 	// decide which sections an incremental checkpoint rewrites.
 	histMuts    int64
 	visitsDirty bool
-	// lastCursors tracks, per WAL table group, the nondeterminism
-	// cursor positions already logged *to that group's shard*, so
-	// logCursorsGroup appends only on advance. Per-shard marks matter:
-	// recovery keeps an independent prefix per shard, so each shard's
-	// record stream must be self-consistently preceded by its own cursor
-	// records.
-	lastCursors map[string]cursorMark
+	// lastCursors is the nondeterminism cursor positions already
+	// logged, so logCursors appends only on advance.
+	lastCursors cursorMark
 
 	stopOnce sync.Once
 	ckptStop chan struct{}
 	ckptDone chan struct{}
 }
 
-// append writes one WAL record to the metadata shard, latching the
-// first failure.
+// append writes one WAL record, latching the first failure.
 func (p *persister) append(typ byte, payload []byte) {
-	p.appendGroup("", typ, payload)
-}
-
-// appendGroup writes one WAL record to the shard its table group routes
-// to, latching the first failure.
-func (p *persister) appendGroup(group string, typ byte, payload []byte) {
-	if err := p.st.AppendGroup(group, typ, payload); err != nil {
+	if err := p.st.Append(typ, payload); err != nil {
 		p.latchErr(err)
 	}
 }
@@ -257,15 +244,13 @@ func (p *persister) GraphCollected(beforeTime int64) {
 	store.PutEncoder(enc)
 }
 
-// RecordApplied implements ttdb.Observer. Database records are routed
-// by table group, so tables mapped to different WAL shards log — and
-// fsync — in parallel; per-table order is preserved by the shard's file
-// order and cross-table order by the global LSN.
+// RecordApplied implements ttdb.Observer. A cursor advance is logged
+// ahead of the record (logCursors).
 func (p *persister) RecordApplied(rec *ttdb.Record) {
-	p.logCursorsGroup(rec.Table, p.w.Runtime.RNGCursor(), p.w.rngDraws.Load())
+	p.logCursors(p.w.Runtime.RNGCursor(), p.w.rngDraws.Load())
 	enc := store.GetEncoder()
 	ttdb.EncodeRecord(enc, rec)
-	p.appendGroup(rec.Table, recTTDBRecord, enc.Bytes())
+	p.append(recTTDBRecord, enc.Bytes())
 	store.PutEncoder(enc)
 }
 
@@ -342,31 +327,26 @@ func (p *persister) logRepairEnd() {
 	p.append(recRepairEnd, nil)
 }
 
-// cursorMark is a shard's last-logged nondeterminism cursor positions.
+// cursorMark is the last-logged nondeterminism cursor positions.
 type cursorMark struct{ rt, br int64 }
 
 // logCursors WAL-logs an advance of the nondeterminism cursors — the
 // runtime's seeded token stream and the deployment's browser-seed
-// stream — on the metadata shard. Checkpoints already persist the
-// cursors (encodeCoreMeta), but a hard crash between checkpoints would
-// otherwise replay the streams' unsynced tail: the first post-crash
-// login would re-issue a recovered session's sid. Records are tiny,
-// emitted only on advance, and replay idempotently (recovery only ever
-// fast-forwards).
+// stream. Checkpoints already persist the cursors (encodeCoreMeta), but
+// a hard crash between checkpoints would otherwise replay the streams'
+// unsynced tail: the first post-crash login would re-issue a recovered
+// session's sid. Records are tiny, emitted only on advance, and replay
+// idempotently (recovery only ever fast-forwards).
+//
+// RecordApplied logs the cursors *before* the mutation record that
+// rides behind them. Recovery keeps a prefix of the WAL, so any
+// recovered mutation implies the cursor state that existed when it
+// committed — a crash can lose a login's session row together with its
+// cursor advance, but never keep the row while rewinding the stream
+// that issued its sid.
 func (p *persister) logCursors(runtimeCursor, browserDraws int64) {
-	p.logCursorsGroup("", runtimeCursor, browserDraws)
-}
-
-// logCursorsGroup logs a cursor advance to one table group's shard,
-// *before* the mutation record that rides behind it (RecordApplied).
-// Within one shard recovery keeps a prefix, so ordering the cursor
-// ahead of the record guarantees any recovered mutation implies the
-// cursor state that existed when it committed — a crash can lose a
-// login's session row together with its cursor advance, but never keep
-// the row while rewinding the stream that issued its sid.
-func (p *persister) logCursorsGroup(group string, runtimeCursor, browserDraws int64) {
 	p.mu.Lock()
-	want := p.lastCursors[group]
+	want := p.lastCursors
 	if runtimeCursor <= want.rt && browserDraws <= want.br {
 		p.mu.Unlock()
 		return
@@ -381,27 +361,24 @@ func (p *persister) logCursorsGroup(group string, runtimeCursor, browserDraws in
 	enc := store.GetEncoder()
 	enc.Int(want.rt)
 	enc.Int(want.br)
-	err := p.st.AppendGroup(group, recRNGCursors, enc.Bytes())
+	err := p.st.Append(recRNGCursors, enc.Bytes())
 	store.PutEncoder(enc)
 	if err != nil {
 		// The mark is advanced only on a successful append: a transient
 		// failure here must not let a later mutation record reach the
-		// shard without its preceding cursor record — the next record on
-		// this group retries the cursor first. Concurrent callers may
-		// duplicate a record; replay is monotonic, so duplicates are
-		// harmless.
+		// WAL without its preceding cursor record — the next record
+		// retries the cursor first. Concurrent callers may duplicate a
+		// record; replay is monotonic, so duplicates are harmless.
 		p.latchErr(err)
 		return
 	}
 	p.mu.Lock()
-	last := p.lastCursors[group]
-	if want.rt > last.rt {
-		last.rt = want.rt
+	if want.rt > p.lastCursors.rt {
+		p.lastCursors.rt = want.rt
 	}
-	if want.br > last.br {
-		last.br = want.br
+	if want.br > p.lastCursors.br {
+		p.lastCursors.br = want.br
 	}
-	p.lastCursors[group] = last
 	p.mu.Unlock()
 }
 
@@ -421,7 +398,7 @@ func (p *persister) checkpointLoop() {
 
 // fence responds to a storage fault (store.FaultSignal): it attempts
 // one checkpoint, which — if the fault was transient (a poisoned
-// segment the shard already rotated past, a scrubbed-out corrupt file)
+// segment the WAL already rotated past, a scrubbed-out corrupt file)
 // — re-secures the entire in-memory state under a fresh recovery root
 // and absolves the fault. If the checkpoint itself fails, the storage
 // can no longer accept writes and the deployment degrades to read-only
@@ -509,7 +486,6 @@ func Open(dir string, cfg Config) (*Warp, error) {
 	p := &persister{
 		w: w, st: st,
 		loggedVisits: make(map[string]int),
-		lastCursors:  make(map[string]cursorMark),
 		ckptStop:     make(chan struct{}),
 		ckptDone:     make(chan struct{}),
 	}
@@ -528,7 +504,7 @@ func Open(dir string, cfg Config) (*Warp, error) {
 		p.loggedVisits[visitKey(v.ClientID, v.VisitID)] = 1 + len(v.Events) + len(v.Requests)
 	}
 	w.mu.Unlock()
-	p.lastCursors[""] = cursorMark{rt: w.Runtime.RNGCursor(), br: w.rngDraws.Load()}
+	p.lastCursors = cursorMark{rt: w.Runtime.RNGCursor(), br: w.rngDraws.Load()}
 	w.pers = p
 	w.Graph.SetObserver(p)
 	w.DB.SetObserver(p)

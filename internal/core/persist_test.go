@@ -92,10 +92,9 @@ func workloadSteps(browsers []*browser.Browser) []func() {
 }
 
 // testDurability is the crash suite's store configuration: fsynced
-// appends so every step is durable, plus a sharded WAL so the suite
-// exercises merged multi-shard recovery, not just the single-chain case.
+// appends so every step is durable.
 func testDurability() store.Options {
-	return store.Options{SyncEveryAppend: true, Shards: 2}
+	return store.Options{SyncEveryAppend: true}
 }
 
 func buildWarp(t *testing.T, dir string, seed int64) *Warp {

@@ -53,6 +53,13 @@ type Report struct {
 	// It does not appear in String(): a repair's outcome is independent of
 	// how many workers computed it.
 	RepairWorkers int
+	// PeakQueryChecks, PeakRunExecs and PeakVisitReplays are the most
+	// items of each kind the scheduler had in flight at once, recorded at
+	// dispatch. Like RepairWorkers they describe how the repair was
+	// computed, not its outcome, and stay out of String().
+	PeakQueryChecks  int
+	PeakRunExecs     int
+	PeakVisitReplays int
 
 	Timing Timing
 }

@@ -22,8 +22,7 @@
 // replay may cancel or re-serve any of them), and the partition edges of
 // the runs behind those exchanges — so visit replays also order
 // correctly against individual query checks and run re-executions
-// touching the same state. Config.TableGranularLocks restores the old
-// globally exclusive behavior.
+// touching the same state.
 //
 // Footprints are derived from the history graph's dependency edges
 // (Graph.PartitionDepsOf), not recomputed from query records, so a work
@@ -50,6 +49,7 @@ const (
 	workQueryCheck  workKind = iota // re-execute / re-check one query
 	workRunExec                     // re-execute one application run
 	workVisitReplay                 // replay one browser page visit
+	numWorkKinds
 )
 
 // workItem is one queued unit of repair work, ordered by original time.
@@ -119,16 +119,12 @@ type footprint struct {
 	// run or query item of the client can cascade into an earlier visit
 	// of it); run and query items of one client do not conflict through
 	// the client alone.
-	client    string
-	replay    bool
-	exclusive bool
+	client string
+	replay bool
 }
 
 // conflicts reports whether two footprints must not be in flight together.
 func (a *footprint) conflicts(b *footprint) bool {
-	if a.exclusive || b.exclusive {
-		return true
-	}
 	if a.run != 0 && a.run == b.run {
 		return true
 	}
@@ -182,6 +178,11 @@ type scheduler struct {
 	busy        int
 	iterations  int
 	err         error
+	// running counts in-flight items per work kind; peak, the most ever
+	// in flight at once (Report's Peak* fields), is recorded at dispatch
+	// under mu, so no worker can move it while the coordinator scans.
+	running [numWorkKinds]int
+	peak    [numWorkKinds]int
 	// limit is the SLO governor's concurrency cap (throttle.go):
 	// 0 means unthrottled. Already-dispatched items finish; the
 	// coordinator just stops dispatching above the cap.
@@ -283,6 +284,7 @@ func (s *scheduler) drainSerial() error {
 		it := heap.Pop(&s.pending).(*workItem)
 		key := keyOf(it)
 		delete(s.pendingKeys, key)
+		s.peak[it.kind] = max(s.peak[it.kind], 1)
 		s.mu.Unlock()
 		actionsRemaining.Add(-1)
 		s.rs.tracef("pop t=%d kind=%d key=%+v nav=%v", it.time, it.kind, key, it.hasNav)
@@ -348,6 +350,8 @@ func (s *scheduler) drainParallel() error {
 		delete(s.pendingKeys, key)
 		s.inflight[it] = fp
 		s.busy++
+		s.running[it.kind]++
+		s.peak[it.kind] = max(s.peak[it.kind], s.running[it.kind])
 		actionsRemaining.Add(-1)
 		s.rs.tracef("pop t=%d kind=%d key=%+v nav=%v", it.time, it.kind, key, it.hasNav)
 		work <- it // buffered to s.workers; busy < workers, so never blocks
@@ -370,6 +374,14 @@ func (s *scheduler) drainParallel() error {
 	s.blocked = s.blocked[:0]
 	s.mu.Unlock()
 	return err
+}
+
+// peaks returns the most query checks, run re-executions and visit
+// replays ever in flight at once.
+func (s *scheduler) peaks() (queries, runs, visits int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.peak[workQueryCheck], s.peak[workRunExec], s.peak[workVisitReplay]
 }
 
 // effectiveWorkers is the dispatch ceiling under the current throttle.
@@ -395,6 +407,7 @@ func (s *scheduler) complete(it *workItem, err error) {
 	s.mu.Lock()
 	delete(s.inflight, it)
 	s.busy--
+	s.running[it.kind]--
 	if err != nil && s.err == nil {
 		s.err = err
 	}
@@ -479,11 +492,7 @@ func newFootprint() *footprint {
 // this set — a patched page navigating somewhere new, a fresh run
 // writing an unclaimed partition — are caught by dirt propagation's
 // fixpoint, the same under-claim safety the cached footprints rely on.
-// With TableGranularLocks the old globally exclusive behavior is kept.
 func (s *scheduler) visitFootprint(it *workItem) *footprint {
-	if s.rs.w.cfg.TableGranularLocks {
-		return &footprint{exclusive: true}
-	}
 	fp := newFootprint()
 	fp.client, fp.replay = it.client, true
 	fp.nodeWrites[history.CookieNode(it.client)] = true

@@ -789,6 +789,7 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	rs.rep.Conflicts = rs.conflicts
 	rs.rep.GraphNodesLoaded = w.Graph.LoadedNodes()
 	rs.rep.RepairWorkers = rs.sched.workers
+	rs.rep.PeakQueryChecks, rs.rep.PeakRunExecs, rs.rep.PeakVisitReplays = rs.sched.peaks()
 	rs.rep.Timing.Init = time.Duration(rs.tInit.Load())
 	rs.rep.Timing.Graph = time.Duration(rs.tGraph.Load())
 	rs.rep.Timing.Browser = time.Duration(rs.tBrowser.Load())

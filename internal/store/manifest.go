@@ -6,15 +6,14 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"warp/internal/store/storefs"
 )
 
 // A manifest is the root of one checkpoint: it names every live section
 // and the checkpoint file each currently lives in, and records the WAL
-// cut — per-shard segment boundaries plus the global LSN — the
-// checkpoint was taken at. Incremental checkpoints write only dirty
+// cut — the last covered segment plus the LSN — the checkpoint was
+// taken at. Incremental checkpoints write only dirty
 // sections into a fresh delta file and carry the rest forward by
 // reference, so the manifest is what stitches base + deltas into one
 // consistent snapshot. Manifests are tiny and installed atomically
@@ -23,10 +22,10 @@ import (
 type manifest struct {
 	seq    int64
 	maxLSN int64
-	// bounds maps shard id -> sequence number of the last WAL segment
-	// the checkpoint covers. Recovery replays only segments after the
-	// bound.
-	bounds map[int]int64
+	// walBound is the sequence number of the last WAL segment the
+	// checkpoint covers (-1: none). Recovery replays only segments
+	// after it.
+	walBound int64
 	// sections maps section name -> checkpoint file sequence holding its
 	// current contents; order preserves the writer's declaration order.
 	sections []manifestSection
@@ -50,16 +49,10 @@ func (m *manifest) encode() []byte {
 	enc.Byte(manifestVersion)
 	enc.Int(m.seq)
 	enc.Int(m.maxLSN)
-	ids := make([]int, 0, len(m.bounds))
-	for id := range m.bounds {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	enc.Uvarint(uint64(len(ids)))
-	for _, id := range ids {
-		enc.Uvarint(uint64(id))
-		enc.Int(m.bounds[id])
-	}
+	// The bounds list is keyed by WAL chain id; only chain 0 exists.
+	enc.Uvarint(1)
+	enc.Uvarint(0)
+	enc.Int(m.walBound)
 	enc.Uvarint(uint64(len(m.sections)))
 	for _, s := range m.sections {
 		enc.String(s.name)
@@ -76,11 +69,16 @@ func decodeManifest(payload []byte) (*manifest, error) {
 		}
 		return nil, fmt.Errorf("%w: unsupported manifest version %d", ErrCorrupt, v)
 	}
-	m := &manifest{seq: dec.Int(), maxLSN: dec.Int(), bounds: make(map[int]int64)}
+	m := &manifest{seq: dec.Int(), maxLSN: dec.Int(), walBound: -1}
 	n := dec.Count()
 	for i := 0; i < n; i++ {
-		id := int(dec.Uvarint())
-		m.bounds[id] = dec.Int()
+		// Releases that sharded the WAL recorded a bound per chain. Open
+		// refuses a directory that still holds segments of a chain other
+		// than 0, so those bounds cover nothing and are skipped.
+		id, bound := dec.Uvarint(), dec.Int()
+		if id == 0 {
+			m.walBound = bound
+		}
 	}
 	n = dec.Count()
 	for i := 0; i < n; i++ {

@@ -12,12 +12,12 @@ import (
 // already syscall-bound; the latency histograms read the clock only
 // when obs is enabled.
 var (
-	// walAppendHist observes AppendGroup latency as the caller sees it —
-	// frame encode, shard append, and (under SyncEveryAppend) the
+	// walAppendHist observes Append latency as the caller sees it —
+	// frame encode, chain append, and (under SyncEveryAppend) the
 	// group-commit wait.
 	walAppendHist = obs.NewHistogram("warp_store_wal_append_seconds")
 	// walFsyncHist observes each physical WAL fsync (group-commit leader
-	// syncs and prefix-flush syncs alike).
+	// syncs and segment finalizes alike).
 	walFsyncHist = obs.NewHistogram("warp_store_wal_fsync_seconds")
 	// walAppends / walAppendBytes count appended records and their
 	// framed bytes.
@@ -61,7 +61,7 @@ var (
 	faultsReported   = obs.NewCounter("warp_store_faults_total")
 )
 
-// timedSync is the shared physical-fsync wrapper for the WAL shard sync
+// timedSync is the shared physical-fsync wrapper for the WAL sync
 // paths. A failed fsync counts as an io error here (it is never
 // retried — the caller poisons the segment instead).
 func timedSync(f storefs.File) error {

@@ -19,34 +19,21 @@ import (
 // Options tunes a Store. The zero value selects the defaults below.
 type Options struct {
 	// SyncEveryAppend makes Append wait until its record is fsynced.
-	// Concurrent appenders on one shard share fsyncs (group commit): one
-	// leader syncs while followers' frames accumulate in the buffer for
-	// the next sync. Off by default: records are fsynced by the
-	// group-commit window instead, trading a bounded post-crash
-	// data-loss window (at most GroupWindow) for an fsync-free hot path.
+	// Concurrent appenders share fsyncs (group commit): one leader syncs
+	// while followers' frames accumulate in the buffer for the next
+	// sync. Off by default: records are fsynced by the group-commit
+	// window instead, trading a bounded post-crash data-loss window (at
+	// most GroupWindow) for an fsync-free hot path.
 	SyncEveryAppend bool
 	// GroupWindow is the maximum delay between fsyncs of buffered
 	// records (default 2ms).
 	GroupWindow time.Duration
-	// SegmentBytes rotates a shard's WAL to a new segment file past this
+	// SegmentBytes rotates the WAL to a new segment file past this
 	// size (default 16 MiB).
 	SegmentBytes int64
-	// SnapshotBytes signals NeedSnapshot after this many WAL bytes
-	// (summed across shards) since the last checkpoint (default 64 MiB);
-	// negative disables the signal.
+	// SnapshotBytes signals NeedSnapshot after this many WAL bytes since
+	// the last checkpoint (default 64 MiB); negative disables the signal.
 	SnapshotBytes int64
-	// Shards is the number of independent WAL segment chains. Records
-	// are routed by table-group key: the empty group (metadata) always
-	// lands on shard 0, named groups spread over the rest. Each shard
-	// has its own group-commit clock, so groups on different shards
-	// fsync in parallel. 0 or 1 means a single chain; values above 100
-	// are clamped (the segment filename format holds two shard digits).
-	Shards int
-	// ShardOf overrides the default hash router: it maps a non-empty
-	// group key to a shard index. Returning an out-of-range index (e.g.
-	// -1 for "unknown table") falls back to shard 0. It must be a pure
-	// function, stable across restarts.
-	ShardOf func(group string) int
 	// CompactEvery forces a full checkpoint (every live section
 	// rewritten, superseding all deltas) after this many incremental
 	// checkpoints (default 8). A full checkpoint lets the prune step
@@ -63,7 +50,7 @@ type Options struct {
 	FS storefs.FS
 	// RetryAttempts is the total number of tries a transient write or
 	// segment-create error gets before surfacing (default 3). Fsync is
-	// never retried — see the fsync-poisoning rule (shard.go).
+	// never retried — see the fsync-poisoning rule (chain.go).
 	RetryAttempts int
 	// RetryBackoff is the initial backoff between retries, doubling up
 	// to a 50ms cap (default 1ms).
@@ -85,12 +72,6 @@ func (o Options) withDefaults() Options {
 	if o.SnapshotBytes == 0 {
 		o.SnapshotBytes = 64 << 20
 	}
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Shards > 100 {
-		o.Shards = 100 // wal-<shard>- carries two digits: ids 0..99
-	}
 	if o.CompactEvery <= 0 {
 		o.CompactEvery = 8
 	}
@@ -109,8 +90,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Record is one typed WAL record. LSN is its global log sequence number:
-// unique and totally ordered across shards, assigned at append time.
+// Record is one typed WAL record. LSN is its log sequence number:
+// unique and increasing in append order.
 type Record struct {
 	LSN     int64
 	Type    byte
@@ -119,17 +100,16 @@ type Record struct {
 
 // Recovery reports what Open found on disk: the newest loadable
 // checkpoint (manifest plus the delta files it references), exposed as
-// named sections, and the merged WAL tail after it.
+// named sections, and the WAL tail after it.
 type Recovery struct {
 	// Manifest is true when a checkpoint was loaded; its sections are
 	// read with ReadSection.
 	Manifest bool
-	// Records is the WAL tail after the checkpoint, all shards merged
-	// into global-LSN order.
+	// Records is the WAL tail after the checkpoint, in LSN order.
 	Records []Record
-	// TailCorrupt is true when at least one shard's replay stopped at a
-	// torn or corrupt frame (or an unreachable segment beyond a gap):
-	// Records holds the consistent per-shard prefixes before that.
+	// TailCorrupt is true when replay stopped at a torn or corrupt frame
+	// (or an unreachable segment beyond a gap): Records holds the
+	// consistent prefix before that.
 	TailCorrupt bool
 	// SnapshotFallback is true when a newer manifest existed but failed
 	// validation and an older checkpoint was used instead.
@@ -174,16 +154,15 @@ func (r *Recovery) ReadSection(name string) (*Decoder, error) {
 // ErrCrashed is returned by operations on a store after Crash.
 var ErrCrashed = errors.New("store: store has crashed")
 
-// Store is an open persistence directory: Options.Shards WAL segment
-// chains plus the manifest-rooted checkpoint history. Safe for
-// concurrent use.
+// Store is an open persistence directory: one WAL segment chain plus
+// the manifest-rooted checkpoint history. Safe for concurrent use.
 type Store struct {
 	dir  string
 	opts Options
 	fs   storefs.FS
 
-	lsn    atomic.Int64 // global record sequence number
-	shards []*shard
+	lsn atomic.Int64 // record sequence number
+	wal *chain
 
 	walSince atomic.Int64 // WAL bytes since the last checkpoint
 	snapped  atomic.Bool  // NeedSnapshot already signalled this interval
@@ -195,11 +174,6 @@ type Store struct {
 	ckptSeq   int64
 	sinceFull int
 	lastCkpt  CheckpointStats
-	// orphans maps shard ids outside the active range (a previous run
-	// used more shards) to their highest on-disk segment seq. Their
-	// records were recovered at Open; the next checkpoint covers and
-	// prunes them.
-	orphans map[int]int64
 
 	stateMu sync.Mutex
 	dead    bool
@@ -284,14 +258,15 @@ func parseSeqName(name, prefix, suffix string, seq *int64) bool {
 	return err == nil && n == 1
 }
 
-// parseSegName parses wal-<shard>-<seq>.log.
+// parseSegName parses wal-<chain>-<seq>.log. Only chain 00 is written;
+// any other id comes from a release that sharded the WAL.
 func parseSegName(name string, id *int, seq *int64) bool {
 	if len(name) != len("wal-")+2+1+8+len(".log") || name[:4] != "wal-" || name[6] != '-' ||
 		name[len(name)-4:] != ".log" {
 		return false
 	}
-	var shardID int64
-	n, err := fmt.Sscanf(name[4:6], "%d", &shardID)
+	var chainID int64
+	n, err := fmt.Sscanf(name[4:6], "%d", &chainID)
 	if err != nil || n != 1 {
 		return false
 	}
@@ -299,7 +274,7 @@ func parseSegName(name string, id *int, seq *int64) bool {
 	if err != nil || n != 1 {
 		return false
 	}
-	*id = int(shardID)
+	*id = int(chainID)
 	return true
 }
 
@@ -326,19 +301,22 @@ func truncateFile(fs storefs.FS, path string, n int64) error {
 }
 
 // Open opens (creating if needed) a persistence directory, recovers the
-// newest valid checkpoint (manifest + base + deltas) plus the merged
-// sharded-WAL tail after it, and starts fresh segments for new appends.
-// Possibly-torn previous tail segments are never appended to again.
+// newest valid checkpoint (manifest + base + deltas) plus the WAL tail
+// after it, and starts a fresh segment for new appends. A
+// possibly-torn previous tail segment is never appended to again.
 //
 // Recovery layers, in order: the manifest names every live section and
 // the delta file holding it; sections load the checkpointed state; then
-// each shard's WAL tail replays its consistent prefix, all shards merged
-// into global-LSN order. A torn tail on one shard drops only that
-// shard's unsynced suffix (reported via TailCorrupt). A manifest whose
+// the WAL tail replays its consistent prefix. A torn tail drops only
+// the unsynced suffix (reported via TailCorrupt). A manifest whose
 // referenced delta file is missing is a hard error — loading a partial
 // checkpoint and calling it recovered would be silent data loss — while
 // a corrupt newest manifest or delta falls back to the previous
 // checkpoint.
+//
+// A directory in a layout this version cannot read — the legacy
+// unsharded files, or a WAL chain other than 00 left by a release that
+// sharded the WAL — is refused before anything in it is touched.
 func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -349,26 +327,20 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	walFiles := make(map[int][]int64)
-	var manifestSeqs []int64
+	var walSeqs, manifestSeqs []int64
+	var tmpFiles []string
 	maxCkptSeq := int64(0)
-	tmpCleaned := false
 	for _, e := range entries {
 		var seq int64
 		var id int
-		// Orphaned temp files are leftovers of a checkpoint or manifest
-		// write that died before its rename: never referenced by
-		// anything, safe to delete, and deleting them keeps a failed
-		// checkpoint from slowly filling the disk with garbage.
-		if strings.HasSuffix(e.Name(), ".tmp") {
-			if err := fs.Remove(filepath.Join(dir, e.Name())); err == nil {
-				tmpCleaned = true
-			}
-			continue
-		}
 		switch {
+		case strings.HasSuffix(e.Name(), ".tmp"):
+			tmpFiles = append(tmpFiles, e.Name())
 		case parseSegName(e.Name(), &id, &seq):
-			walFiles[id] = append(walFiles[id], seq)
+			if id != 0 {
+				return nil, nil, fmt.Errorf("store: %s holds a second WAL chain (found %s), written by a release that sharded the WAL, which this version cannot read; open it once with the previous release configured for one WAL shard (warp-server's wal-shards flag set to 1) and checkpoint, then retry", dir, e.Name())
+			}
+			walSeqs = append(walSeqs, seq)
 		case parseSeqName(e.Name(), "manifest-", ".mf", &seq):
 			manifestSeqs = append(manifestSeqs, seq)
 			if seq > maxCkptSeq {
@@ -385,10 +357,21 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 			return nil, nil, fmt.Errorf("store: %s holds the legacy unsharded layout (found %s), which this version cannot read; recover it with the previous release or start a fresh directory", dir, e.Name())
 		}
 	}
-	sort.Slice(manifestSeqs, func(i, j int) bool { return manifestSeqs[i] > manifestSeqs[j] })
+	// Orphaned temp files are leftovers of a checkpoint or manifest write
+	// that died before its rename: never referenced by anything, safe to
+	// delete, and deleting them keeps a failed checkpoint from slowly
+	// filling the disk with garbage.
+	tmpCleaned := false
+	for _, name := range tmpFiles {
+		if err := fs.Remove(filepath.Join(dir, name)); err == nil {
+			tmpCleaned = true
+		}
+	}
 	if tmpCleaned {
 		_ = fs.SyncDir(dir)
 	}
+	sort.Slice(manifestSeqs, func(i, j int) bool { return manifestSeqs[i] > manifestSeqs[j] })
+	sort.Slice(walSeqs, func(i, j int) bool { return walSeqs[i] < walSeqs[j] })
 
 	rec := &Recovery{dir: dir, fs: fs}
 	var mf *manifest
@@ -420,42 +403,31 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		return nil, nil, mfErr
 	}
 
-	// Replay each shard's consecutive run of segments after the
-	// checkpoint's per-shard boundary, then merge by global LSN. A
-	// missing segment inside a shard's run is a gap — typically segments
-	// pruned by a newer checkpoint whose manifest later failed
+	// Replay the consecutive run of segments after the checkpoint's
+	// boundary. A missing segment inside the run is a gap — typically
+	// segments pruned by a newer checkpoint whose manifest later failed
 	// validation — and everything past it was appended against state
-	// this recovery does not have; stopping there keeps each shard's
-	// recovered stream a true prefix.
-	maxLSN := int64(0)
+	// this recovery does not have; stopping there keeps the recovered
+	// stream a true prefix.
+	maxLSN, bound := int64(0), int64(-1)
 	if mf != nil {
-		maxLSN = mf.maxLSN
+		maxLSN, bound = mf.maxLSN, mf.walBound
 	}
-	perShard := make(map[int][]Record)
-	shardIDs := make([]int, 0, len(walFiles))
-	for id, seqs := range walFiles {
-		shardIDs = append(shardIDs, id)
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		bound := int64(-1)
-		if mf != nil {
-			if b, ok := mf.bounds[id]; ok {
-				bound = b
-			}
-		}
+	start := int64(1)
+	if len(walSeqs) > 0 {
 		next := bound + 1
 		if bound < 0 {
-			next = seqs[0]
+			next = walSeqs[0]
 		}
-		have := make(map[int64]bool, len(seqs))
-		for _, seq := range seqs {
+		have := make(map[int64]bool, len(walSeqs))
+		for _, seq := range walSeqs {
 			have[seq] = true
 		}
-		var recs []Record
 		corrupt := false
 		prevLSN := int64(0)
 		tornSeg, tornLen := int64(-1), int64(0)
 		for have[next] && !corrupt {
-			validLen, clean, err := readSegment(fs, segName(dir, id, next), func(payload []byte) error {
+			validLen, clean, err := readSegment(fs, segName(dir, next), func(payload []byte) error {
 				lsn, k := binary.Uvarint(payload)
 				if k <= 0 || k >= len(payload) || int64(lsn) <= prevLSN {
 					return errBadWALRecord
@@ -463,7 +435,7 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 				prevLSN = int64(lsn)
 				p := make([]byte, len(payload)-k-1)
 				copy(p, payload[k+1:])
-				recs = append(recs, Record{LSN: int64(lsn), Type: payload[k], Payload: p})
+				rec.Records = append(rec.Records, Record{LSN: int64(lsn), Type: payload[k], Payload: p})
 				return nil
 			})
 			if err != nil && !errors.Is(err, errBadWALRecord) {
@@ -476,32 +448,32 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 			}
 			next++
 		}
-		if !corrupt && seqs[len(seqs)-1] >= next {
+		last := walSeqs[len(walSeqs)-1]
+		if !corrupt && last >= next {
 			corrupt = true // unreachable segments beyond a gap
 		}
-		if corrupt {
-			rec.TailCorrupt = true
-		}
-		// A torn frame in the newest segment of a shard's chain is the
-		// ordinary crash tail. Truncate the file to its valid prefix so
-		// the chain stays appendable: without this, records fsynced into
-		// segments started after this recovery would sit beyond the torn
-		// frame and a second recovery would never reach them. A torn
-		// frame with later segments present is different — rotation
-		// fsyncs a segment before starting the next, so that is real
-		// corruption and replay stops without touching the file.
-		if tornSeg >= 0 && tornSeg == seqs[len(seqs)-1] {
-			if err := truncateFile(fs, segName(dir, id, tornSeg), tornLen); err != nil {
-				return nil, nil, fmt.Errorf("store: neutralizing torn tail of shard %d: %w", id, err)
+		rec.TailCorrupt = corrupt
+		// A torn frame in the newest segment is the ordinary crash tail.
+		// Truncate the file to its valid prefix so the chain stays
+		// appendable: without this, records fsynced into segments
+		// started after this recovery would sit beyond the torn frame
+		// and a second recovery would never reach them. A torn frame
+		// with later segments present is different — rotation fsyncs a
+		// segment before starting the next, so that is real corruption
+		// and replay stops without touching the file.
+		if tornSeg >= 0 && tornSeg == last {
+			if err := truncateFile(fs, segName(dir, tornSeg), tornLen); err != nil {
+				return nil, nil, fmt.Errorf("store: neutralizing torn WAL tail: %w", err)
 			}
 		}
 		if prevLSN > maxLSN {
 			maxLSN = prevLSN
 		}
-		perShard[id] = recs
+		start = last + 1
 	}
-	sort.Ints(shardIDs)
-	rec.Records = mergeByLSN(perShard, shardIDs)
+	if bound+1 > start {
+		start = bound + 1
+	}
 
 	s := &Store{
 		dir:         dir,
@@ -510,7 +482,6 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		manifest:    mf,
 		ckptSeq:     maxCkptSeq + 1,
 		needSnap:    make(chan struct{}, 1),
-		orphans:     make(map[int]int64),
 		faultCh:     make(chan struct{}, 1),
 		sealedTorn:  make(map[string]bool),
 		quarantined: make(map[string]bool),
@@ -518,51 +489,11 @@ func Open(dir string, opts Options) (*Store, *Recovery, error) {
 		flushDone:   make(chan struct{}),
 	}
 	s.lsn.Store(maxLSN)
-	for id, seqs := range walFiles {
-		if id >= opts.Shards {
-			s.orphans[id] = seqs[len(seqs)-1]
-		}
+	if s.wal, err = newChain(dir, opts, start); err != nil {
+		return nil, nil, err
 	}
-	s.shards = make([]*shard, opts.Shards)
-	for i := 0; i < opts.Shards; i++ {
-		start := int64(1)
-		if seqs := walFiles[i]; len(seqs) > 0 {
-			start = seqs[len(seqs)-1] + 1
-		}
-		if mf != nil {
-			if b, ok := mf.bounds[i]; ok && b+1 > start {
-				start = b + 1
-			}
-		}
-		sh, err := newShard(i, dir, opts, start)
-		if err != nil {
-			for _, prev := range s.shards[:i] {
-				prev.crash()
-			}
-			return nil, nil, err
-		}
-		sh.onFault = s.reportFault
-		sh.onSeal = s.markSealedTorn
-		s.shards[i] = sh
-	}
-	if opts.Shards > 1 {
-		// Rotating the metadata shard flushes and fsyncs its whole
-		// buffer; sync the data shards first so the rotation cannot make
-		// a metadata record durable ahead of its table records (the same
-		// barrier syncAll enforces on the periodic path).
-		s.shards[0].preRotate = func() error {
-			for i := 1; i < len(s.shards); i++ {
-				sh := s.shards[i]
-				sh.mu.Lock()
-				extent := sh.appended
-				sh.mu.Unlock()
-				if err := sh.syncUpTo(extent, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
+	s.wal.onFault = s.reportFault
+	s.wal.onSeal = s.markSealedTorn
 	go s.flusher()
 	if opts.ScrubInterval > 0 {
 		s.scrubStop = make(chan struct{})
@@ -598,36 +529,6 @@ func indexSections(fs storefs.FS, dir string, m *manifest) (map[string]sectionRe
 	return sections, order, nil
 }
 
-// mergeByLSN merges per-shard record streams (each already
-// LSN-monotonic) into one globally ordered stream.
-func mergeByLSN(perShard map[int][]Record, ids []int) []Record {
-	total := 0
-	for _, recs := range perShard {
-		total += len(recs)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Record, 0, total)
-	idx := make(map[int]int, len(ids))
-	for len(out) < total {
-		best := -1
-		var bestLSN int64
-		for _, id := range ids {
-			i := idx[id]
-			if i >= len(perShard[id]) {
-				continue
-			}
-			if best < 0 || perShard[id][i].LSN < bestLSN {
-				best, bestLSN = id, perShard[id][i].LSN
-			}
-		}
-		out = append(out, perShard[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
 // Dir returns the persistence directory.
 func (s *Store) Dir() string { return s.dir }
 
@@ -643,42 +544,34 @@ func (s *Store) Dead() bool {
 // recovery time.
 func (s *Store) NeedSnapshot() <-chan struct{} { return s.needSnap }
 
-// WALBytesSinceSnapshot returns the bytes appended across all shards
-// since the last checkpoint (or since Open).
+// WALBytesSinceSnapshot returns the bytes appended since the last
+// checkpoint (or since Open).
 func (s *Store) WALBytesSinceSnapshot() int64 { return s.walSince.Load() }
 
-// Append writes one typed record to shard 0, the metadata shard. With
-// SyncEveryAppend it returns once the record is durable; otherwise the
-// record becomes durable within GroupWindow.
+// Append writes one typed record. With SyncEveryAppend it returns once
+// the record is durable; otherwise the record becomes durable within
+// GroupWindow.
 func (s *Store) Append(typ byte, payload []byte) error {
-	return s.AppendGroup("", typ, payload)
-}
-
-// AppendGroup writes one typed record to the shard its table-group key
-// routes to. Records within one group always share a shard, so their
-// relative order is preserved by that shard's file order; cross-group
-// order is preserved by the global LSN each record carries.
-func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 	var start time.Time
 	if obs.Enabled() {
 		start = time.Now()
 	}
-	sh := s.shards[s.shardOf(group)]
-	sh.mu.Lock()
-	if sh.dead || sh.closed {
-		sh.mu.Unlock()
+	c := s.wal
+	c.mu.Lock()
+	if c.dead || c.closed {
+		c.mu.Unlock()
 		return ErrCrashed
 	}
-	// The LSN is assigned under the shard lock, so each shard's file
-	// order is LSN-monotonic — the invariant recovery's merge relies on.
+	// The LSN is assigned under the chain lock, so file order is LSN
+	// order — the invariant recovery's monotonicity check relies on.
 	lsn := s.lsn.Add(1)
 	frame := make([]byte, 0, binary.MaxVarintLen64+1+len(payload))
 	frame = binary.AppendUvarint(frame, uint64(lsn))
 	frame = append(frame, typ)
 	frame = append(frame, payload...)
-	target, err := sh.append(frame)
+	target, err := c.append(frame)
 	if err != nil {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		s.reportFault(err)
 		return err
 	}
@@ -692,9 +585,9 @@ func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 		}
 	}
 	if s.opts.SyncEveryAppend {
-		err = sh.waitSyncedLocked(target)
+		err = c.syncLocked(target, false)
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	walAppends.Inc()
 	walAppendBytes.Add(uint64(n))
 	if !start.IsZero() {
@@ -703,44 +596,8 @@ func (s *Store) AppendGroup(group string, typ byte, payload []byte) error {
 	return err
 }
 
-// Sync makes every record appended before the call durable, on every
-// shard.
-func (s *Store) Sync() error { return s.syncAll(false) }
-
-// syncAll is the single durability pass every fsync path shares (Sync,
-// the flusher; segment rotation runs the same barrier via preRotate).
-// It captures the metadata shard's extent first, syncs the data shards,
-// then syncs shard 0 up to the captured extent — as a prefix flush, so
-// nothing beyond it reaches the OS. Why this ordering holds: a metadata
-// record (say, a history action) is appended after the table records it
-// describes; if it falls within shard 0's captured extent, its records
-// fall within the data shards' later-captured extents and are durable
-// by the time shard 0 syncs. A crash anywhere in the pass can therefore
-// never keep a metadata record while losing its prerequisites — the
-// residual window is the harmless inverse (table records durable, their
-// metadata not yet: unattributed row versions, the analog of redo past
-// the commit point).
-func (s *Store) syncAll(quiet bool) error {
-	extents := s.captureExtents()
-	for i := 1; i < len(s.shards); i++ {
-		if err := s.shards[i].syncUpTo(extents[i], quiet); err != nil {
-			return err
-		}
-	}
-	return s.shards[0].syncUpTo(extents[0], quiet)
-}
-
-// captureExtents snapshots every shard's appended byte count, shard 0
-// first (the ordering syncAll's causality argument relies on).
-func (s *Store) captureExtents() []int64 {
-	extents := make([]int64, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		extents[i] = sh.appended
-		sh.mu.Unlock()
-	}
-	return extents
-}
+// Sync makes every record appended before the call durable.
+func (s *Store) Sync() error { return s.wal.sync(false) }
 
 func (s *Store) flusher() {
 	defer close(s.flushDone)
@@ -751,7 +608,7 @@ func (s *Store) flusher() {
 		case <-s.flushStop:
 			return
 		case <-tick.C:
-			_ = s.syncAll(true)
+			_ = s.wal.sync(true)
 		}
 	}
 }
@@ -859,7 +716,7 @@ func (cw *CheckpointWriter) closeSection() {
 	}
 }
 
-// WriteCheckpoint rotates every WAL shard, streams the sections the
+// WriteCheckpoint rotates the WAL, streams the sections the
 // build function emits into a new delta file, and atomically installs a
 // manifest referencing them plus any sections carried forward. It then
 // prunes WAL segments, delta files, and manifests the new checkpoint
@@ -885,28 +742,10 @@ func (s *Store) WriteCheckpoint(build func(*CheckpointWriter) error) error {
 	defer s.ckptMu.Unlock()
 
 	// Rotate first: records appended after this point land in segments
-	// that survive the prune and replay over the new checkpoint. Data
-	// shards rotate (and so fsync) before the metadata shard, keeping
-	// syncAll's causal order; shard 0's preRotate barrier then finds
-	// them already durable.
-	bounds := make(map[int]int64)
-	for i := 1; i < len(s.shards); i++ {
-		fin, err := s.shards[i].rotate()
-		if err != nil {
-			return err
-		}
-		bounds[i] = fin
-	}
-	fin, err := s.shards[0].rotate()
+	// that survive the prune and replay over the new checkpoint.
+	bound, err := s.wal.rotate()
 	if err != nil {
 		return err
-	}
-	bounds[0] = fin
-	// Orphan shards (a previous run used more shards): their records
-	// were recovered at Open and are part of the state being
-	// checkpointed, so the checkpoint covers them entirely.
-	for id, maxSeq := range s.orphans {
-		bounds[id] = maxSeq
 	}
 	covered := s.walSince.Load()
 	lsnAt := s.lsn.Load()
@@ -950,7 +789,7 @@ func (s *Store) WriteCheckpoint(build func(*CheckpointWriter) error) error {
 		s.reportFault(err)
 		return err
 	}
-	m := &manifest{seq: seq, maxLSN: lsnAt, bounds: bounds, sections: cw.sections}
+	m := &manifest{seq: seq, maxLSN: lsnAt, walBound: bound, sections: cw.sections}
 	if err := writeManifestFile(s.fs, s.dir, m); err != nil {
 		ioErrCkpt.Inc()
 		s.reportFault(err)
@@ -964,7 +803,6 @@ func (s *Store) WriteCheckpoint(build func(*CheckpointWriter) error) error {
 	}
 	s.walSince.Add(-covered)
 	s.snapped.Store(false)
-	s.orphans = map[int]int64{}
 	s.lastCkpt = CheckpointStats{
 		Seq: seq, Full: len(cw.kept) == 0,
 		Written: cw.written, Kept: cw.kept, Bytes: fw.off,
@@ -1013,7 +851,7 @@ func (s *Store) prune() {
 		var id int
 		switch {
 		case parseSegName(e.Name(), &id, &seq):
-			if bound, ok := m.bounds[id]; ok && seq <= bound {
+			if id == 0 && seq <= m.walBound {
 				drop(e.Name())
 			}
 		case parseSeqName(e.Name(), "ckpt-", ".sec", &seq):
@@ -1029,8 +867,8 @@ func (s *Store) prune() {
 	_ = s.fs.SyncDir(s.dir)
 }
 
-// Close flushes and fsyncs every shard and releases the store. Closing
-// a crashed store is a no-op.
+// Close flushes and fsyncs the WAL and releases the store. Closing a
+// crashed store is a no-op.
 func (s *Store) Close() error {
 	s.stateMu.Lock()
 	if s.dead || s.closed {
@@ -1039,21 +877,11 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.stateMu.Unlock()
-	// Data shards close (flush + fsync) before the metadata shard, the
-	// same causal order Sync enforces.
-	var firstErr error
-	for i := 1; i < len(s.shards); i++ {
-		if err := s.shards[i].close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if err := s.shards[0].close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
+	err := s.wal.close()
 	s.stopOnce.Do(func() { close(s.flushStop) })
 	<-s.flushDone
 	s.stopScrubber()
-	return firstErr
+	return err
 }
 
 // stopScrubber stops the background scrub loop, if one was started.
@@ -1080,9 +908,7 @@ func (s *Store) Crash() {
 	}
 	s.dead = true
 	s.stateMu.Unlock()
-	for _, sh := range s.shards {
-		sh.crash()
-	}
+	s.wal.crash()
 	s.stopOnce.Do(func() { close(s.flushStop) })
 	<-s.flushDone
 	s.stopScrubber()

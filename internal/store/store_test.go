@@ -427,7 +427,7 @@ func TestTornTailNeutralized(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear the tail mid-frame.
-	path := segName(dir, 0, 1)
+	path := segName(dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

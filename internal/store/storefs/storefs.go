@@ -23,7 +23,7 @@ type File interface {
 	io.Closer
 	// Sync fsyncs the file. A failed Sync leaves every write since the
 	// last successful Sync in unknown durability state — the store
-	// treats the failure as poisonous (see internal/store's shard
+	// treats the failure as poisonous (see internal/store's segment
 	// sealing), never as retryable.
 	Sync() error
 	// Truncate durably shortens the file to size bytes (the caller

@@ -81,7 +81,7 @@ func readSegment(fs storefs.FS, path string, fn func(payload []byte) error) (val
 // retryPolicy is the transient-I/O retry schedule (Options.RetryAttempts
 // / RetryBackoff): attempts tries total, with capped exponential backoff
 // between them. Only writes and file creation retry — an fsync failure
-// is never retried (see the fsync-poisoning rule in shard.go), and
+// is never retried (see the fsync-poisoning rule in chain.go), and
 // checkpoint-file errors abort the checkpoint instead, because the
 // fault-fence checkpoint is their retry.
 type retryPolicy struct {
@@ -109,18 +109,14 @@ func (r retryPolicy) do(op func() error) error {
 	}
 }
 
-// walWriter owns one open segment file. Frames accumulate in an
-// explicit user-space buffer that supports *prefix* flushing: flushTo
-// hands the OS only bytes up to a given extent, which is what lets the
-// store bound exactly which records an fsync can make durable (the
-// cross-shard causality barrier — see Store.syncAll).
+// walWriter owns one open segment file. Frames accumulate in a
+// user-space buffer until the next flush hands them to the OS.
 type walWriter struct {
-	path    string
-	f       storefs.File
-	retry   retryPolicy
-	buf     []byte
-	size    int64 // bytes appended to this segment (flushed + buffered)
-	flushed int64 // bytes handed to the OS
+	path  string
+	f     storefs.File
+	retry retryPolicy
+	buf   []byte
+	size  int64 // bytes appended to this segment (flushed + buffered)
 }
 
 // openSegment creates a fresh segment file and makes its directory
@@ -163,24 +159,17 @@ func (w *walWriter) append(payload []byte) error {
 	return nil
 }
 
-// flushTo pushes buffered frames to the OS up to byte extent limit
-// (segment coordinates); bytes past it stay in user space, invisible to
-// any fsync. Transient write errors retry with backoff; a short write
-// advances the flushed extent by exactly the bytes the OS accepted
-// before retrying the remainder, so a retry can never write a byte
-// twice.
-func (w *walWriter) flushTo(limit int64) error {
-	if limit > w.size {
-		limit = w.size
-	}
+// flush pushes every buffered frame to the OS. Transient write errors
+// retry with backoff; a short write drops exactly the bytes the OS
+// accepted from the buffer before retrying the remainder, so a retry
+// can never write a byte twice.
+func (w *walWriter) flush() error {
 	attempt := 1
 	backoff := w.retry.backoff
-	for w.flushed < limit {
-		n := limit - w.flushed
-		k, err := w.f.Write(w.buf[:n])
+	for len(w.buf) > 0 {
+		k, err := w.f.Write(w.buf)
 		if k > 0 {
 			w.buf = w.buf[:copy(w.buf, w.buf[k:])]
-			w.flushed += int64(k)
 			if err == nil {
 				continue
 			}
@@ -203,9 +192,6 @@ func (w *walWriter) flushTo(limit int64) error {
 	return nil
 }
 
-// flush pushes every buffered frame to the OS.
-func (w *walWriter) flush() error { return w.flushTo(w.size) }
-
 // sync flushes and fsyncs the segment. The fsync itself is never
 // retried: after a failed fsync the kernel may have dropped the dirty
 // pages, so a later "successful" fsync proves nothing about them
@@ -227,7 +213,7 @@ func (w *walWriter) close() error {
 }
 
 // closeFd closes the file without a final flush or fsync, for callers
-// that know every appended byte is already durable (shard close when
+// that know every appended byte is already durable (chain close when
 // synced == appended): skipping the redundant fsync means a clean close
 // cannot be failed by a disk that died after the last real sync.
 func (w *walWriter) closeFd() error { return w.f.Close() }

@@ -93,7 +93,7 @@ func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, l
 		// partition lock manager exists for.
 		sc = wholeScope()
 	}
-	sc = db.maybeCoalesce(m, m.effectiveScope(db, sc))
+	sc = db.maybeCoalesce(m, m.effectiveScope(sc))
 	m.locks.lock(sc)
 	return m, sc, func() { m.locks.unlock(sc) }, nil
 }
@@ -209,7 +209,7 @@ func (m *tableMeta) scopeFromWhere(where sqldb.Expr, params []sqldb.Value) lockS
 // partitions' shards, so checkpoints stay proportional to the write
 // set.
 func (db *DB) markDirtyStmt(m *tableMeta, stmt sqldb.Statement, params []sqldb.Value) {
-	db.markDirtyScope(m, m.effectiveScope(db, m.scopeForStmt(stmt, params)))
+	db.markDirtyScope(m, m.effectiveScope(m.scopeForStmt(stmt, params)))
 }
 
 // execAt dispatches a statement at an explicit time and generation. The

@@ -265,10 +265,10 @@ func (db *DB) lockScope(table string, sc lockScope) (*tableMeta, func(), error) 
 }
 
 // effectiveScope clamps a derived scope to the table's locking
-// capability: tables without a lock column — and databases forced into
-// table-granular mode — always use the whole-table scope.
-func (m *tableMeta) effectiveScope(db *DB, sc lockScope) lockScope {
-	if db.coarseLocks.Load() || m.lockCol == "" {
+// capability: tables without a lock column always use the whole-table
+// scope.
+func (m *tableMeta) effectiveScope(sc lockScope) lockScope {
+	if m.lockCol == "" {
 		return wholeScope()
 	}
 	return sc
@@ -304,7 +304,7 @@ func (db *DB) maybeCoalesce(m *tableMeta, sc lockScope) lockScope {
 	if sc.whole || len(sc.ranges) > 0 || len(sc.keys) < coalesceThreshold {
 		return sc
 	}
-	if m == nil || m.lockCol == "" || db.coarseLocks.Load() {
+	if m == nil || m.lockCol == "" {
 		return sc
 	}
 	// Only text keys coalesce: a text Key() ("t"+value) sorts exactly as

@@ -110,7 +110,7 @@ func (db *DB) RepairValueBefore(info UpdateMergeInfo, rowID sqldb.Value, t int64
 	if err != nil {
 		return "", false
 	}
-	sc := m.effectiveScope(db, db.scopeForRows(m, []sqldb.Value{rowID}))
+	sc := m.effectiveScope(db.scopeForRows(m, []sqldb.Value{rowID}))
 	m.locks.lock(sc)
 	defer m.locks.unlock(sc)
 	versions, err := db.readVersions(m, rowID, st.next)

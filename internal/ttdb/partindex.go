@@ -113,7 +113,7 @@ func (db *DB) PartitionRowsSince(p Partition, since int64) ([]sqldb.Value, error
 // otherwise (other columns cut across the lock column's slices).
 func (m *tableMeta) partitionScope(db *DB, p Partition) lockScope {
 	if !p.IsWholeTable() && p.Column == m.lockCol {
-		return m.effectiveScope(db, keyScope([]string{p.Key}))
+		return m.effectiveScope(keyScope([]string{p.Key}))
 	}
 	return wholeScope()
 }

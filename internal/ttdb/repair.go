@@ -198,7 +198,7 @@ func (db *DB) insertCopy(m *tableMeta, pr physicalRow, end int64, sGen, eGen int
 // is acquired; the scope checks inside the locked operation catch that
 // and escalate, so staleness costs a retry, never correctness.
 func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
-	if db.coarseLocks.Load() || m.lockCol == "" || len(rowIDs) == 0 {
+	if m.lockCol == "" || len(rowIDs) == 0 {
 		return wholeScope()
 	}
 	probe := db.stmtsFor(m).lockKey
@@ -496,7 +496,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := db.maybeCoalesce(m, m.effectiveScope(db, m.scopeForStmt(stmt, params).merge(origScope(m, orig))))
+		sc := db.maybeCoalesce(m, m.effectiveScope(m.scopeForStmt(stmt, params).merge(origScope(m, orig))))
 		// dirt accumulates across an escalation retry: rollbacks completed
 		// in a narrow-scope attempt stay applied (the retry re-runs them as
 		// no-ops), so their partitions — including uniqueness-collider

@@ -216,11 +216,6 @@ type DB struct {
 	currentGen atomic.Int64
 	inRepair   bool
 
-	// coarseLocks forces every lock scope to the whole table — the
-	// pre-partition-lock behavior, kept for comparison benchmarks and as
-	// an operational escape hatch (core.Config.TableGranularLocks).
-	coarseLocks atomic.Bool
-
 	gcBefore int64 // versions strictly older than this have been collected
 
 	// dirtyMu guards dirty, the per-shard set of table slices mutated
@@ -257,13 +252,6 @@ func Open(clock *vclock.Clock) *DB {
 	db.currentGen.Store(1)
 	return db
 }
-
-// SetTableGranularLocks switches the database between partition-granular
-// scopes (default) and the pre-refactor table-granular locking, in which
-// every operation takes its table's whole scope. Flip before concurrent
-// use; partition mode and table mode produce identical states, only
-// concurrency differs.
-func (db *DB) SetTableGranularLocks(coarse bool) { db.coarseLocks.Store(coarse) }
 
 // markDirtyWhole records that a table's physical state changed across
 // shards. Safe under any lock (dirtyMu is a leaf).

@@ -36,9 +36,7 @@
 // dependency frontier admits same-table items whose partitions do not
 // overlap, and page-visit replays are exclusive only per client — so
 // repairs of one hot table scale across workers too. RepairWorkers = 1
-// reproduces the paper's serial loop exactly;
-// Config.TableGranularLocks restores the coarse pre-partition behavior
-// for comparison.
+// reproduces the paper's serial loop exactly.
 //
 // A System wires together the substrates in internal/: the SQL engine
 // (sqldb), the time-travel layer (ttdb), the action history graph
@@ -114,9 +112,9 @@ type (
 	TableSpec = ttdb.TableSpec
 
 	// DurabilityOptions tunes the persistence layer for deployments
-	// created with Open (Config.Durability): group commit, WAL sharding
-	// (Shards/ShardOf), and the incremental checkpoint cadence
-	// (CompactEvery, ChunkBytes). See docs/persistence.md.
+	// created with Open (Config.Durability): group commit on the single
+	// WAL chain, and the incremental checkpoint cadence (CompactEvery,
+	// ChunkBytes). See docs/persistence.md.
 	DurabilityOptions = store.Options
 	// CheckpointStats reports what the last checkpoint wrote
 	// (System.LastCheckpoint): which sections landed in the new delta
