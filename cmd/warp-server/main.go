@@ -23,8 +23,7 @@
 //	POST /warp/undo?client=C&visit=N   — undo a past page visit
 //
 // Repairs run online by default (docs/repair.md "Online repair"): live
-// requests keep executing on partitions the repair has not claimed, and
-// -repair-slo paces repair workers against a live p99 target.
+// requests keep executing on partitions the repair has not claimed.
 // -exclusive-repair restores the paper's stop-the-world suspension.
 //
 // With -debug-addr a second listener serves expvar (/debug/vars) and
@@ -82,8 +81,6 @@ func main() {
 		"second listen address serving expvar (/debug/vars) and pprof (/debug/pprof/); empty disables")
 	slowQuery := flag.Duration("slow-query", 0,
 		"log statements and repair actions slower than this threshold (0 disables)")
-	repairSLO := flag.Duration("repair-slo", 0,
-		"live-request p99 target an online repair throttles its workers against (0 disables the governor)")
 	exclusiveRepair := flag.Bool("exclusive-repair", false,
 		"suspend normal execution for the whole repair (the paper's stop-the-world behavior) instead of repairing online")
 	flag.Parse()
@@ -101,8 +98,7 @@ func main() {
 	}
 
 	cfg := warp.Config{
-		Seed: 2026, RepairWorkers: *repairWorkers,
-		RepairSLO: *repairSLO, ExclusiveRepair: *exclusiveRepair,
+		Seed: 2026, RepairWorkers: *repairWorkers, ExclusiveRepair: *exclusiveRepair,
 	}
 	cfg.Durability.CompactEvery = *compactEvery
 	cfg.Durability.SyncEveryAppend = *syncEvery

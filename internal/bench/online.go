@@ -16,9 +16,8 @@ import (
 // OnlineRepair measures live-request latency *during* a repair — the
 // headline number of online repair (docs/repair.md): with
 // exclusive=false the deployment keeps serving while the repair drains
-// (partition-scoped coexistence, admission gate, SLO throttle when
-// slo > 0), suspending only for the final generation-switch commit
-// window; with exclusive=true the paper's stop-the-world behavior is
+// (partition-scoped coexistence and the admission gate), suspending only
+// for the final generation-switch commit window; with exclusive=true the paper's stop-the-world behavior is
 // restored and every mid-repair request stalls for the whole repair.
 //
 // The workload is PartitionRepair's: a hot `posts` table partitioned by
@@ -28,14 +27,13 @@ import (
 // its own partition (disjoint from every repaired one); the result
 // reports that client's p99 and worst-case latency mid-repair next to
 // the same deployment's idle p99.
-func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusive bool, slo time.Duration) (*OnlineRepairResult, error) {
+func OnlineRepair(clients, pages, workers int, appLatency time.Duration, exclusive bool) (*OnlineRepairResult, error) {
 	wasEnabled := obs.Enabled()
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(wasEnabled)
 
 	w := core.New(core.Config{
-		Seed: 99, RepairWorkers: workers,
-		ExclusiveRepair: exclusive, RepairSLO: slo,
+		Seed: 99, RepairWorkers: workers, ExclusiveRepair: exclusive,
 	})
 	if err := w.DB.Annotate("posts", ttdb.TableSpec{RowIDColumn: "id", PartitionColumns: []string{"owner"}}); err != nil {
 		return nil, err

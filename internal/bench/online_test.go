@@ -257,12 +257,12 @@ func mergeRun(t *testing.T) (string, *core.Report) {
 // concurrent live traffic — two goroutines on partitions no repair item
 // touches, two on repaired clients' partitions — and requires every
 // request to succeed. Run under `go test -race ./...` in CI, this is
-// the data-race gate for the admission gate, the throttle governor, and
-// partition-lock coexistence between live execution and repair workers.
+// the data-race gate for the admission gate and partition-lock
+// coexistence between live execution and repair workers.
 func TestLiveExecDuringRepairStress(t *testing.T) {
 	const clients, pages = 8, 2
 	w, owner0 := onlineDeployment(t, clients, pages, time.Millisecond, core.Config{
-		Seed: 99, RepairWorkers: 4, RepairSLO: 20 * time.Millisecond,
+		Seed: 99, RepairWorkers: 4,
 	})
 
 	done := make(chan error, 1)

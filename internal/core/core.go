@@ -48,13 +48,6 @@ type Config struct {
 	// paper's time order. 0 means GOMAXPROCS; 1 reproduces the serial
 	// repair engine exactly.
 	RepairWorkers int
-	// RepairSLO is the live-request p99 latency target an online repair
-	// paces itself against: a throttle governor samples the
-	// warp_core_request_seconds histogram while repair runs and sheds
-	// repair-worker concurrency whenever live p99 exceeds the target
-	// (throttle.go). 0 disables the governor; the governor also needs
-	// obs enabled to see the histogram.
-	RepairSLO time.Duration
 	// ExclusiveRepair restores the paper's stop-the-world behavior:
 	// the deployment suspends for the whole repair instead of only the
 	// final generation-switch commit window. The repair outcome is

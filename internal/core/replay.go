@@ -510,7 +510,7 @@ func (rs *session) processVisit(it *workItem) error {
 	}
 	// A live client may still be growing the log; replay what it holds.
 	vlog = vlog.Snapshot()
-	key := fmt.Sprintf("v:%s/%d", it.client, it.visit)
+	key := keyOf(it)
 	rs.mu.Lock()
 	rs.activeVisit[key] = true
 	if !rs.doneVisits[key] {
@@ -633,7 +633,7 @@ func (rs *session) processVisit(it *workItem) error {
 			navMethod: nav.Method, navURL: nav.URL, navForm: nav.Form, hasNav: true,
 		}
 		rs.mu.Lock()
-		rs.navOverrides[fmt.Sprintf("v:%s/%d", it.client, child.VisitID)] = item
+		rs.navOverrides[keyOf(item)] = item
 		rs.mu.Unlock()
 		rs.sched.push(item)
 	}

@@ -183,10 +183,6 @@ type scheduler struct {
 	// under mu, so no worker can move it while the coordinator scans.
 	running [numWorkKinds]int
 	peak    [numWorkKinds]int
-	// limit is the SLO governor's concurrency cap (throttle.go):
-	// 0 means unthrottled. Already-dispatched items finish; the
-	// coordinator just stops dispatching above the cap.
-	limit int
 }
 
 func newScheduler(rs *session, workers, maxIter int) *scheduler {
@@ -326,7 +322,7 @@ func (s *scheduler) drainParallel() error {
 		if len(s.pending) == 0 && len(s.blocked) == 0 && s.busy == 0 {
 			break
 		}
-		if s.busy >= s.effectiveWorkers() {
+		if s.busy >= s.workers {
 			s.cond.Wait()
 			continue
 		}
@@ -382,24 +378,6 @@ func (s *scheduler) peaks() (queries, runs, visits int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peak[workQueryCheck], s.peak[workRunExec], s.peak[workVisitReplay]
-}
-
-// effectiveWorkers is the dispatch ceiling under the current throttle.
-// Called with s.mu held.
-func (s *scheduler) effectiveWorkers() int {
-	if s.limit > 0 && s.limit < s.workers {
-		return s.limit
-	}
-	return s.workers
-}
-
-// setWorkerLimit installs the governor's concurrency cap (0 lifts it)
-// and wakes the coordinator so a raised cap dispatches immediately.
-func (s *scheduler) setWorkerLimit(n int) {
-	s.mu.Lock()
-	s.limit = n
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // complete retires an in-flight item and wakes the coordinator.
@@ -598,9 +576,8 @@ func (rs *session) enqueueRun(a *history.Action) {
 }
 
 func (rs *session) enqueueVisit(log *browser.VisitLog) {
-	key := fmt.Sprintf("v:%s/%d", log.ClientID, log.VisitID)
 	rs.mu.Lock()
-	active := rs.activeVisit[key]
+	active := rs.activeVisit[itemKey{kind: workVisitReplay, client: log.ClientID, visit: log.VisitID}]
 	rs.mu.Unlock()
 	if active {
 		return

@@ -55,20 +55,20 @@ type session struct {
 
 	origRuns    map[history.NodeID]history.ActionID // first-seen (original) run per exchange
 	served      map[history.NodeID]*servedEntry
-	activeVisit map[string]bool
+	activeVisit map[itemKey]bool
 
 	jarOverride map[string]httpd.Fields // diverged replay cookie jars
 
 	// navOverrides remembers, per child visit, the parent's latest
 	// re-derived main request (e.g. a merged form), so a later standalone
 	// re-replay of the child does not fall back to the stale recorded one.
-	navOverrides map[string]*workItem
+	navOverrides map[itemKey]*workItem
 
 	conflicts []browser.Conflict
 
 	// Distinct work accounting for the Tables 7/8 "re-executed actions"
 	// columns: repeats of the same item (fixpoint passes) count once.
-	doneVisits  map[string]bool
+	doneVisits  map[itemKey]bool
 	doneRuns    map[history.ActionID]bool
 	doneQueries map[history.ActionID]bool
 
@@ -140,10 +140,10 @@ func (w *Warp) newSession(gen int64) *session {
 		mark:         w.Graph.Mark(),
 		origRuns:     make(map[history.NodeID]history.ActionID),
 		served:       make(map[history.NodeID]*servedEntry),
-		activeVisit:  make(map[string]bool),
+		activeVisit:  make(map[itemKey]bool),
 		jarOverride:  make(map[string]httpd.Fields),
-		navOverrides: make(map[string]*workItem),
-		doneVisits:   make(map[string]bool),
+		navOverrides: make(map[itemKey]*workItem),
+		doneVisits:   make(map[itemKey]bool),
 		doneRuns:     make(map[history.ActionID]bool),
 		doneQueries:  make(map[history.ActionID]bool),
 		mergedLive:   make(map[string]string),
@@ -305,10 +305,7 @@ func (rs *session) recheck() (queued, live int) {
 	return queued, live
 }
 
-// missedDirt applies recheck's rule to one query action. Partition
-// overlap follows propagate and dirtyAt: a keyed partition depends on
-// its own dirt and its table's whole-table dirt, a whole-table partition
-// on every dirt of its table.
+// missedDirt applies recheck's rule to one query action.
 func (rs *session) missedDirt(a *history.Action, rec *ttdb.Record) bool {
 	pd := rs.w.Graph.PartitionDepsOf(a.ID)
 	rs.mu.Lock()
@@ -316,18 +313,28 @@ func (rs *session) missedDirt(a *history.Action, rec *ttdb.Record) bool {
 	since := rs.execStamps[rec]
 	for _, name := range append(pd.PartReads, pd.PartWrites...) {
 		p, ok := ttdb.ParsePartition(name)
-		if !ok {
-			continue
+		if ok && rs.overlapsDirt(p, func(l dirtLog) bool { return l.missedBy(a.Time, since) }) {
+			return true
 		}
-		if p.IsWholeTable() {
-			for dp, log := range rs.dirt {
-				if dp.Table == p.Table && log.missedBy(a.Time, since) {
-					return true
-				}
+	}
+	return false
+}
+
+// overlapsDirt reports whether a dirt entry overlapping p satisfies
+// match. Partition overlap follows propagate: a keyed partition overlaps
+// its own entry and its table's whole-table entry, a whole-table
+// partition every entry of its table. Caller holds rs.mu.
+func (rs *session) overlapsDirt(p ttdb.Partition, match func(dirtLog) bool) bool {
+	if p.IsWholeTable() {
+		for dp, log := range rs.dirt {
+			if dp.Table == p.Table && match(log) {
+				return true
 			}
-			continue
 		}
-		if rs.dirt[p].missedBy(a.Time, since) || rs.dirt[ttdb.WholeTable(p.Table)].missedBy(a.Time, since) {
+		return false
+	}
+	for _, q := range [2]ttdb.Partition{p, ttdb.WholeTable(p.Table)} {
+		if log, ok := rs.dirt[q]; ok && match(log) {
 			return true
 		}
 	}
@@ -389,18 +396,7 @@ func (rs *session) dirtyAt(parts []ttdb.Partition, t int64) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, p := range parts {
-		if p.IsWholeTable() {
-			for dp, log := range rs.dirt {
-				if dp.Table == p.Table && log[0].time <= t {
-					return true
-				}
-			}
-			continue
-		}
-		if log, ok := rs.dirt[p]; ok && log[0].time <= t {
-			return true
-		}
-		if log, ok := rs.dirt[ttdb.WholeTable(p.Table)]; ok && log[0].time <= t {
+		if rs.overlapsDirt(p, func(l dirtLog) bool { return l[0].time <= t }) {
 			return true
 		}
 	}
@@ -415,18 +411,7 @@ func (rs *session) claimed(parts []ttdb.Partition) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	for _, p := range parts {
-		if p.IsWholeTable() {
-			for dp := range rs.dirt {
-				if dp.Table == p.Table {
-					return true
-				}
-			}
-			continue
-		}
-		if _, ok := rs.dirt[p]; ok {
-			return true
-		}
-		if _, ok := rs.dirt[ttdb.WholeTable(p.Table)]; ok {
+		if rs.overlapsDirt(p, func(dirtLog) bool { return true }) {
 			return true
 		}
 	}
@@ -659,10 +644,6 @@ func (w *Warp) repair(intent *RepairIntent, seed func(*session) error, restrictC
 	} else {
 		w.admission.Store(&admissionGate{w: w, rs: rs, sched: rs.sched})
 		defer w.admission.Store(nil)
-		if w.cfg.RepairSLO > 0 && obs.Enabled() {
-			gov := startThrottle(rs.sched, w.cfg.RepairSLO)
-			defer gov.halt()
-		}
 	}
 
 	sp := tr.Begin("frontier")

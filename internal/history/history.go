@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -44,25 +43,6 @@ func (n NodeID) PartitionName() (string, bool) {
 	}
 	return s[len(prefix):], true
 }
-
-// partitionTable splits a partition node into its table and whether it
-// is the whole-table wildcard. Partition strings are "<table>/*" or
-// "<table>/<column>=<key>" (ttdb.Partition.String); table names are SQL
-// identifiers, so the first "/" is unambiguous.
-func (n NodeID) partitionTable() (table string, whole bool, ok bool) {
-	name, ok := n.PartitionName()
-	if !ok {
-		return "", false, false
-	}
-	i := strings.IndexByte(name, '/')
-	if i <= 0 {
-		return "", false, false
-	}
-	return name[:i], name[i+1:] == "*", true
-}
-
-// wholeTableNode returns the wildcard partition node of a table.
-func wholeTableNode(table string) NodeID { return PartitionNode(table + "/*") }
 
 // HTTPNode returns the node for one HTTP exchange, identified by the
 // browser-assigned ⟨client, visit, request⟩ tuple (§5.1).
@@ -166,12 +146,6 @@ type Graph struct {
 	// approximating the paper's incremental graph loading cost metric.
 	loadedNodes map[NodeID]bool
 
-	// tableNodes indexes every partition node seen on a dependency edge
-	// by its table, so the action-level dependency API can honor
-	// whole-table ↔ keyed-partition overlap (a write to "t/*" depends on
-	// readers of every "t/..." node and vice versa).
-	tableNodes map[string]map[NodeID]bool
-
 	// muts counts structural mutations (appends, restores, dependency
 	// extensions, GC). The persistence layer compares it against the
 	// count at the last checkpoint to decide whether the graph section
@@ -188,7 +162,6 @@ func New() *Graph {
 		readers:     make(map[NodeID][]ActionID),
 		writers:     make(map[NodeID][]ActionID),
 		loadedNodes: make(map[NodeID]bool),
-		tableNodes:  make(map[string]map[NodeID]bool),
 		nextID:      1,
 	}
 }
@@ -243,7 +216,6 @@ func (g *Graph) addPosting(index, other map[NodeID][]ActionID, n NodeID, id Acti
 		if _, seen := other[n]; !seen {
 			g.nodes++
 		}
-		g.indexPartitionNode(n)
 	}
 	index[n] = append(ids, id)
 }
@@ -252,47 +224,6 @@ func (g *Graph) addPosting(index, other map[NodeID][]ActionID, n NodeID, id Acti
 func (g *Graph) publishSize() {
 	historyActions.Set(int64(g.live))
 	historyNodes.Set(int64(g.nodes))
-}
-
-// indexPartitionNode records a partition node in the per-table index.
-// Caller holds g.mu.
-func (g *Graph) indexPartitionNode(n NodeID) {
-	table, _, ok := n.partitionTable()
-	if !ok {
-		return
-	}
-	byTable := g.tableNodes[table]
-	if byTable == nil {
-		byTable = make(map[NodeID]bool)
-		g.tableNodes[table] = byTable
-	}
-	byTable[n] = true
-}
-
-// relatedPartitionNodes returns the other nodes whose partitions overlap
-// n: the table's wildcard node for a keyed partition, every indexed node
-// of the table for the wildcard. Caller holds g.mu (read side is fine:
-// the index is only grown under the write lock).
-func (g *Graph) relatedPartitionNodes(n NodeID) []NodeID {
-	table, whole, ok := n.partitionTable()
-	if !ok {
-		return nil
-	}
-	if !whole {
-		w := wholeTableNode(table)
-		if g.tableNodes[table][w] {
-			return []NodeID{w}
-		}
-		return nil
-	}
-	var out []NodeID
-	for other := range g.tableNodes[table] {
-		if other != n {
-			out = append(out, other)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // SetObserver installs the graph's change observer (nil to remove).
@@ -415,21 +346,6 @@ func (g *Graph) Since(mark ActionID) ([]*Action, ActionID) {
 	return out, g.nextID
 }
 
-// DepsOf returns copies of an action's input and output dependency edges.
-// Unlike reading Action.Inputs/Outputs directly, DepsOf is safe against a
-// concurrent AddDeps extending the action: the repair scheduler uses it to
-// derive work-item footprints without re-deriving partition sets from the
-// underlying query records.
-func (g *Graph) DepsOf(id ActionID) (inputs, outputs []Dep) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.get(id)
-	if a == nil {
-		return nil, nil
-	}
-	return append([]Dep{}, a.Inputs...), append([]Dep{}, a.Outputs...)
-}
-
 // PartitionDeps is the dependency-edge view of one action with its
 // partition edges pre-split from its plain node edges: the partition
 // names (ttdb.Partition string forms, parseable with ttdb.ParsePartition)
@@ -446,8 +362,9 @@ type PartitionDeps struct {
 }
 
 // PartitionDepsOf returns an action's dependency edges split into
-// partition edges and plain node edges. Like DepsOf it is safe against a
-// concurrent AddDeps.
+// partition edges and plain node edges. Unlike reading
+// Action.Inputs/Outputs directly, it is safe against a concurrent AddDeps
+// extending the action.
 func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -471,77 +388,6 @@ func (g *Graph) PartitionDepsOf(id ActionID) PartitionDeps {
 		}
 	}
 	return pd
-}
-
-// Deps returns the distinct actions the given action depends on: every
-// action with an output edge to one of its input nodes at or before its
-// time. The result is in (time, ID) order and excludes the action itself.
-func (g *Graph) Deps(id ActionID) []ActionID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.get(id)
-	if a == nil {
-		return nil
-	}
-	seen := make(map[ActionID]bool)
-	var out []*Action
-	for _, d := range a.Inputs {
-		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
-			for _, wid := range g.writers[node] {
-				w := g.get(wid)
-				if w == nil || wid == id || seen[wid] || w.Time > a.Time {
-					continue
-				}
-				seen[wid] = true
-				out = append(out, w)
-			}
-		}
-	}
-	return sortedIDs(out)
-}
-
-// Dependents returns the distinct actions depending on the given action:
-// every action with an input edge from one of its output nodes at or after
-// its time. The result is in (time, ID) order and excludes the action
-// itself. Deps and Dependents are the action-level dependency-edge view of
-// the graph; the repair scheduler consumes the node-level view (DepsOf)
-// to build work-item footprints.
-func (g *Graph) Dependents(id ActionID) []ActionID {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	a := g.get(id)
-	if a == nil {
-		return nil
-	}
-	seen := make(map[ActionID]bool)
-	var out []*Action
-	for _, d := range a.Outputs {
-		for _, node := range append([]NodeID{d.Node}, g.relatedPartitionNodes(d.Node)...) {
-			for _, rid := range g.readers[node] {
-				r := g.get(rid)
-				if r == nil || rid == id || seen[rid] || r.Time < a.Time {
-					continue
-				}
-				seen[rid] = true
-				out = append(out, r)
-			}
-		}
-	}
-	return sortedIDs(out)
-}
-
-func sortedIDs(acts []*Action) []ActionID {
-	sort.Slice(acts, func(i, j int) bool {
-		if acts[i].Time != acts[j].Time {
-			return acts[i].Time < acts[j].Time
-		}
-		return acts[i].ID < acts[j].ID
-	})
-	ids := make([]ActionID, len(acts))
-	for i, a := range acts {
-		ids[i] = a.ID
-	}
-	return ids
 }
 
 // Len returns the number of live actions.
@@ -648,7 +494,6 @@ func (g *Graph) GC(beforeTime int64) int {
 		// Rebuild indexes without the dead actions.
 		g.readers = make(map[NodeID][]ActionID)
 		g.writers = make(map[NodeID][]ActionID)
-		g.tableNodes = make(map[string]map[NodeID]bool)
 		g.nodes = 0
 		for _, a := range g.actions {
 			if a != nil {

@@ -93,7 +93,7 @@ func (db *DB) lockFor(stmt sqldb.Statement, params []sqldb.Value) (*tableMeta, l
 		// partition lock manager exists for.
 		sc = wholeScope()
 	}
-	sc = db.maybeCoalesce(m, m.effectiveScope(sc))
+	sc = m.effectiveScope(sc)
 	m.locks.lock(sc)
 	return m, sc, func() { m.locks.unlock(sc) }, nil
 }

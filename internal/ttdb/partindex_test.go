@@ -1,6 +1,8 @@
 package ttdb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"warp/internal/sqldb"
@@ -180,5 +182,40 @@ func TestPartitionIndexPrunedByGC(t *testing.T) {
 	}
 	if len(rows) != 1 || rows[0].AsInt() != 2 {
 		t.Fatalf("post-GC rows = %v, want [2]", rows)
+	}
+}
+
+// TestWideINScopeClaimsOnlyItsKeys pins that a keyed scope holds exactly
+// the keys its statement names, however many: a 17-key IN over a dense
+// run of owners must leave the owner it skips free for another
+// operation.
+func TestWideINScopeClaimsOnlyItsKeys(t *testing.T) {
+	db := openPartDB(t)
+	var in []string
+	for i := 0; i < 18; i++ {
+		owner := fmt.Sprintf("k%02d", i)
+		piExec(t, db, "INSERT INTO notes (id, owner, body) VALUES (?, ?, 'b')", sqldb.Int(int64(i+1)), sqldb.Text(owner))
+		if i != 16 {
+			in = append(in, "'"+owner+"'")
+		}
+	}
+	stmt, err := sqldb.Parse("SELECT body FROM notes WHERE owner IN (" + strings.Join(in, ", ") + ")")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, sc, release, err := db.lockFor(stmt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	skipped := sqldb.Text("k16").Key()
+	if sc.whole || sc.covers(skipped) {
+		t.Fatalf("scope %+v claims the skipped owner k16", sc)
+	}
+	m.locks.mu.Lock()
+	free := m.locks.available(keyScope([]string{skipped}))
+	m.locks.mu.Unlock()
+	if !free {
+		t.Fatal("k16 is not lockable while the IN scope is held")
 	}
 }

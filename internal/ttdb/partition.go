@@ -54,24 +54,11 @@ func ParsePartition(s string) (Partition, bool) {
 	return Partition{Table: table, Column: rest[:j], Key: rest[j+1:]}, true
 }
 
-// Overlaps reports whether two partitions can contain a common row. A
-// whole-table partition overlaps everything in its table. Partitions on
-// different columns overlap conservatively only through the whole-table
-// case: writes record the partition keys of every touched row in every
-// partition column, so same-column comparison is sufficient (see the
-// package analysis notes).
-func (p Partition) Overlaps(q Partition) bool {
-	if p.Table != q.Table {
-		return false
-	}
-	if p.IsWholeTable() || q.IsWholeTable() {
-		return true
-	}
-	return p.Column == q.Column && p.Key == q.Key
-}
-
 // PartitionSet is a set of partitions with overlap queries. The zero value
-// is an empty set.
+// is an empty set. A whole-table entry overlaps everything in its table; a
+// keyed entry overlaps only an equal entry. Same-column comparison is
+// sufficient because writes record the partition keys of every touched
+// row in every partition column (see the package analysis notes).
 type PartitionSet struct {
 	whole map[string]bool // tables fully covered
 	keys  map[Partition]bool

@@ -212,7 +212,7 @@ func (db *DB) scopeForRows(m *tableMeta, rowIDs []sqldb.Value) lockScope {
 			keys = append(keys, row[0].Key())
 		}
 	}
-	return db.maybeCoalesce(m, keyScope(keys))
+	return keyScope(keys)
 }
 
 // RollbackRow rolls back a single row (named by row ID) to time t in the
@@ -496,7 +496,7 @@ func (db *DB) ReExecPrepared(cs *sqldb.CachedStmt, params []sqldb.Value, t int64
 		if err != nil {
 			return nil, nil, err
 		}
-		sc := db.maybeCoalesce(m, m.effectiveScope(m.scopeForStmt(stmt, params).merge(origScope(m, orig))))
+		sc := m.effectiveScope(m.scopeForStmt(stmt, params).merge(origScope(m, orig)))
 		// dirt accumulates across an escalation retry: rollbacks completed
 		// in a narrow-scope attempt stay applied (the retry re-runs them as
 		// no-ops), so their partitions — including uniqueness-collider

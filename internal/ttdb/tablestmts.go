@@ -34,10 +34,9 @@ type tableStmts struct {
 	// generation ?1.
 	purgeOld, purgeNew, unDemote, gc *sqldb.CachedStmt
 
-	// lockKey reads the lock-column value of every version of row ?0;
-	// density reads the lock-column values in the key range [?0, ?1]. Both
-	// are nil for tables without a lock column.
-	lockKey, density *sqldb.CachedStmt
+	// lockKey reads the lock-column value of every version of row ?0; nil
+	// for tables without a lock column.
+	lockKey *sqldb.CachedStmt
 
 	// colliders probe, per uniqueness constraint, the live versions in
 	// generation ?k whose application key columns equal ?0..?k-1.
@@ -103,11 +102,7 @@ func (db *DB) buildTableStmts(m *tableMeta, epoch uint64) *tableStmts {
 		gc:            del(&sqldb.BinaryExpr{Op: sqldb.OpOr, Left: cmp(sqldb.OpLt, ColEndTime, p(0)), Right: cmp(sqldb.OpLt, ColEndGen, p(1))}),
 	}
 	if m.lockCol != "" {
-		lockSel := func(where sqldb.Expr) *sqldb.CachedStmt {
-			return sqldb.NewCachedStmt(&sqldb.Select{Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: where})
-		}
-		st.lockKey = lockSel(cmp(sqldb.OpEq, m.rowIDCol, p(0)))
-		st.density = lockSel(sqldb.And(cmp(sqldb.OpGe, m.lockCol, p(0)), cmp(sqldb.OpLe, m.lockCol, p(1))))
+		st.lockKey = sqldb.NewCachedStmt(&sqldb.Select{Items: []sqldb.SelectItem{{Expr: sqldb.Col(m.lockCol)}}, Table: m.name, Where: cmp(sqldb.OpEq, m.rowIDCol, p(0))})
 	}
 	_, uniques, _ := db.raw.Schema(m.name)
 	for _, u := range uniques {

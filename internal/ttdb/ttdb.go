@@ -274,9 +274,7 @@ func (db *DB) markDirtyWhole(table string) {
 // Marked before executing, so even a write that fails partway can only
 // over-mark, never leave a mutated shard clean.
 func (db *DB) markDirtyScope(m *tableMeta, sc lockScope) {
-	if sc.whole || len(sc.ranges) > 0 {
-		// A coalesced range cannot enumerate its shards, so it dirties the
-		// whole table — the conservative trade coalescing already accepts.
+	if sc.whole {
 		db.markDirtyWhole(m.name)
 		return
 	}
